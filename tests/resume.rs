@@ -433,3 +433,55 @@ fn checkpoint_every_n_only_writes_on_schedule() {
         std::fs::remove_dir_all(&dir).ok();
     });
 }
+
+#[test]
+fn nan_batch_rolls_back_both_gan_networks() {
+    // GanDef's step trains the discriminator on the batch's detached logits
+    // before the classifier loss exists, so a NaN pixel reaches the
+    // discriminator's weights before the per-batch check sees the NaN
+    // classifier loss. Only a rollback that restores the discriminator
+    // alongside the classifier leaves it clean. Same fixture as
+    // `nan_batch_trips_the_guard_mid_epoch`: one NaN pixel, tanh hidden layer.
+    let mut ds = digits(38);
+    let mut data = ds.train_x.as_slice().to_vec();
+    let mid = data.len() / 2;
+    data[mid] = f32::NAN;
+    ds.train_x =
+        zk_gandef_repro::tensor::Tensor::from_vec(ds.train_x.shape().dims().to_vec(), data);
+
+    let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits).with_gamma(0.5);
+    cfg.epochs = 4;
+    cfg.lr = 0.003;
+    cfg.guard = GuardPolicy {
+        max_retries: 2,
+        spike_factor: 4.0,
+        lr_backoff: 0.5,
+    };
+    let mut rng = Prng::new(3);
+    use zk_gandef_repro::nn::layer::{Act, Dense, Flatten, Layer, Sequential};
+    let model = Sequential::new(vec![
+        Box::new(Flatten) as Box<dyn Layer>,
+        Box::new(Dense::new("fc1", 28 * 28, 24, Some(Act::Tanh))),
+        Box::new(Dense::new("fc2", 24, 10, None)),
+    ]);
+    let mut net = Net::new(model, &mut rng);
+    let report = GanDef::zero_knowledge().train(&mut net, &ds, &cfg, &mut rng);
+
+    assert!(
+        report
+            .events
+            .iter()
+            .any(|e| matches!(e, RunEvent::GuardStop { .. })),
+        "{:?}",
+        report.events
+    );
+    let disc = report.discriminator.expect("gan returns discriminator");
+    for (net_name, params) in [("classifier", &net.params), ("discriminator", &disc.params)] {
+        for (name, t) in params.iter() {
+            assert!(
+                t.is_finite(),
+                "{net_name} {name} non-finite after NaN-batch guard"
+            );
+        }
+    }
+}
