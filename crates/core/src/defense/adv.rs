@@ -8,14 +8,12 @@
 //!   knowledge defense, and the paper's training-time pain point
 //!   (Figure 5).
 
-use super::{timed_epoch, Defense, EpochOutcome, RunDriver, RunParts, TrainReport};
+use super::{half_perturbed, train_loop, training_pgd, Batch, Defense, TrainReport};
 use crate::TrainConfig;
-use gandef_attack::{Attack, Fgsm, Pgd};
-use gandef_data::{batches, Dataset};
-use gandef_nn::optim::{Adam, Optimizer};
+use gandef_attack::{Attack, Fgsm};
+use gandef_data::Dataset;
 use gandef_nn::{one_hot, Mode, Net, Session};
 use gandef_tensor::rng::Prng;
-use gandef_tensor::Tensor;
 
 /// Which generator supplies the training examples.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,23 +43,6 @@ impl AdvTraining {
             generator: Generator::Pgd,
         }
     }
-
-    fn generate(
-        &self,
-        net: &Net,
-        x: &Tensor,
-        y: &[usize],
-        cfg: &TrainConfig,
-        rng: &mut Prng,
-    ) -> Tensor {
-        match self.generator {
-            Generator::Fgsm => Fgsm::new(cfg.budget.eps).perturb(net, x, y, rng),
-            Generator::Pgd => {
-                let b = cfg.budget.training_variant(cfg.train_pgd_iters);
-                Pgd::new(b.eps, b.pgd_step, b.pgd_iters).perturb(net, x, y, rng)
-            }
-        }
-    }
 }
 
 impl Defense for AdvTraining {
@@ -73,70 +54,20 @@ impl Defense for AdvTraining {
     }
 
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
-        super::apply_pool(cfg);
         let classes = ds.kind.classes();
-        let mut opt = Adam::new(cfg.lr);
-        let mut report = TrainReport::new(self.name());
-        let (mut driver, mut epoch) = RunDriver::begin(
-            cfg,
-            RunParts {
-                stores: vec![("model", &mut net.params)],
-                optims: vec![("opt", &mut opt)],
-                rng: &mut *rng,
-            },
-            &mut report,
-        );
-        while epoch < cfg.epochs {
-            let (secs, loss) = timed_epoch(|| {
-                let mut loss_sum = 0.0;
-                let mut batches_seen = 0;
-                for (xb, yb) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
-                    let n = xb.dim(0);
-                    if n < 2 {
-                        continue;
-                    }
-                    let half = n / 2;
-                    // Half original, half adversarial against the *current*
-                    // model — the expensive step full-knowledge defenses
-                    // pay for every batch.
-                    let clean = xb.slice_rows(0, half);
-                    let adv_src = xb.slice_rows(half, n);
-                    let adv = self.generate(net, &adv_src, &yb[half..], cfg, rng);
-                    let mixed = Tensor::concat_rows(&[&clean, &adv]);
-                    let targets = one_hot(&yb, classes);
-
-                    let mut sess = Session::new(&net.params, Mode::Train, rng.fork(0xA1));
-                    let x = sess.input(mixed);
-                    let z = net.model.forward(&mut sess, x);
-                    let total = sess.tape.softmax_cross_entropy(z, &targets);
-
-                    let batch_loss = sess.tape.value(total).item();
-                    if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
-                        return batch_loss;
-                    }
-                    loss_sum += batch_loss;
-                    batches_seen += 1;
-                    let grads = sess.backward(total);
-                    opt.step(&mut net.params, &grads);
-                }
-                loss_sum / batches_seen.max(1) as f32
-            });
-            match driver.after_epoch(
-                epoch,
-                secs,
-                loss,
-                RunParts {
-                    stores: vec![("model", &mut net.params)],
-                    optims: vec![("opt", &mut opt)],
-                    rng: &mut *rng,
-                },
-                &mut report,
-            ) {
-                EpochOutcome::Next(e) => epoch = e,
-                EpochOutcome::Stop => break,
-            }
-        }
-        report
+        train_loop(self.name(), net, ds, cfg, rng, &mut |b: Batch<'_>| {
+            // Half original, half adversarial against the *current* model —
+            // the expensive step full-knowledge defenses pay for every batch.
+            let mixed = half_perturbed(&b.x, &b.y, |x, y| match self.generator {
+                Generator::Fgsm => Fgsm::new(cfg.budget.eps).perturb(b.net, x, y, b.rng),
+                Generator::Pgd => training_pgd(cfg).perturb(b.net, x, y, b.rng),
+            })?;
+            let mut sess = Session::new(&b.net.params, Mode::Train, b.rng.fork(0xA1));
+            let x = sess.input(mixed);
+            let z = b.net.model.forward(&mut sess, x);
+            let loss = sess.tape.softmax_cross_entropy(z, &one_hot(&b.y, classes));
+            Some((sess, loss))
+        })
     }
 }
 

@@ -11,10 +11,9 @@
 //! other. §V-D of the paper shows this design is too rigid: on the complex
 //! dataset the training loss diverges to NaN.
 
-use super::{timed_epoch, Defense, EpochOutcome, RunDriver, RunParts, TrainReport};
+use super::{train_loop, Batch, Defense, TrainReport};
 use crate::TrainConfig;
-use gandef_data::{batches, preprocess, Dataset};
-use gandef_nn::optim::{Adam, Optimizer};
+use gandef_data::{preprocess, Dataset};
 use gandef_nn::{one_hot, Mode, Net, Session};
 use gandef_tensor::rng::Prng;
 
@@ -28,81 +27,36 @@ impl Defense for Clp {
     }
 
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
-        super::apply_pool(cfg);
         let classes = ds.kind.classes();
-        let mut opt = Adam::new(cfg.lr);
-        let mut report = TrainReport::new(self.name());
-        let (mut driver, mut epoch) = RunDriver::begin(
-            cfg,
-            RunParts {
-                stores: vec![("model", &mut net.params)],
-                optims: vec![("opt", &mut opt)],
-                rng: &mut *rng,
-            },
-            &mut report,
-        );
-        while epoch < cfg.epochs {
-            let (secs, loss) = timed_epoch(|| {
-                let mut loss_sum = 0.0;
-                let mut batches_seen = 0;
-                for (xb, yb) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
-                    let n = xb.dim(0);
-                    if n < 2 {
-                        continue; // pairing needs at least two examples
-                    }
-                    let half = n / 2;
-                    // Random pairing: the shuffled batch is split in half,
-                    // each half perturbed independently (only perturbed
-                    // examples — CLP never sees clean inputs, Figure 2a).
-                    let x1 = preprocess::gaussian_perturb(&xb.slice_rows(0, half), cfg.sigma, rng);
-                    let x2 = preprocess::gaussian_perturb(
-                        &xb.slice_rows(half, 2 * half),
-                        cfg.sigma,
-                        rng,
-                    );
-                    let t1 = one_hot(&yb[..half], classes);
-                    let t2 = one_hot(&yb[half..2 * half], classes);
-
-                    let mut sess = Session::new(&net.params, Mode::Train, rng.fork(0xC2));
-                    let x1v = sess.input(x1);
-                    let x2v = sess.input(x2);
-                    let z1 = net.model.forward(&mut sess, x1v);
-                    let z2 = net.model.forward(&mut sess, x2v);
-                    let ce1 = sess.tape.softmax_cross_entropy(z1, &t1);
-                    let ce2 = sess.tape.softmax_cross_entropy(z2, &t2);
-                    let diff = sess.tape.sub(z1, z2);
-                    let pair_pen = sess.tape.l2_sq_mean_rows(diff);
-                    let ce = sess.tape.add(ce1, ce2);
-                    let pen = sess.tape.scale(pair_pen, cfg.lambda);
-                    let total = sess.tape.add(ce, pen);
-
-                    let batch_loss = sess.tape.value(total).item();
-                    if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
-                        return batch_loss;
-                    }
-                    loss_sum += batch_loss;
-                    batches_seen += 1;
-                    let grads = sess.backward(total);
-                    opt.step(&mut net.params, &grads);
-                }
-                loss_sum / batches_seen.max(1) as f32
-            });
-            match driver.after_epoch(
-                epoch,
-                secs,
-                loss,
-                RunParts {
-                    stores: vec![("model", &mut net.params)],
-                    optims: vec![("opt", &mut opt)],
-                    rng: &mut *rng,
-                },
-                &mut report,
-            ) {
-                EpochOutcome::Next(e) => epoch = e,
-                EpochOutcome::Stop => break,
+        train_loop(self.name(), net, ds, cfg, rng, &mut |b: Batch<'_>| {
+            let n = b.x.dim(0);
+            if n < 2 {
+                return None; // pairing needs at least two examples
             }
-        }
-        report
+            let half = n / 2;
+            // Random pairing: the shuffled batch is split in half, each half
+            // perturbed independently (only perturbed examples — CLP never
+            // sees clean inputs, Figure 2a).
+            let x1 = preprocess::gaussian_perturb(&b.x.slice_rows(0, half), cfg.sigma, b.rng);
+            let x2 =
+                preprocess::gaussian_perturb(&b.x.slice_rows(half, 2 * half), cfg.sigma, b.rng);
+            let t1 = one_hot(&b.y[..half], classes);
+            let t2 = one_hot(&b.y[half..2 * half], classes);
+
+            let mut sess = Session::new(&b.net.params, Mode::Train, b.rng.fork(0xC2));
+            let x1v = sess.input(x1);
+            let x2v = sess.input(x2);
+            let z1 = b.net.model.forward(&mut sess, x1v);
+            let z2 = b.net.model.forward(&mut sess, x2v);
+            let ce1 = sess.tape.softmax_cross_entropy(z1, &t1);
+            let ce2 = sess.tape.softmax_cross_entropy(z2, &t2);
+            let diff = sess.tape.sub(z1, z2);
+            let pair_pen = sess.tape.l2_sq_mean_rows(diff);
+            let ce = sess.tape.add(ce1, ce2);
+            let pen = sess.tape.scale(pair_pen, cfg.lambda);
+            let total = sess.tape.add(ce, pen);
+            Some((sess, total))
+        })
     }
 }
 

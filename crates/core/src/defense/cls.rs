@@ -12,10 +12,9 @@
 //! flat on the complex dataset under the paper's `(σ = 1, λ = 0.4)`
 //! setting.
 
-use super::{timed_epoch, Defense, EpochOutcome, RunDriver, RunParts, TrainReport};
+use super::{train_loop, Batch, Defense, TrainReport};
 use crate::TrainConfig;
-use gandef_data::{batches, preprocess, Dataset};
-use gandef_nn::optim::{Adam, Optimizer};
+use gandef_data::{preprocess, Dataset};
 use gandef_nn::{one_hot, Mode, Net, Session};
 use gandef_tensor::rng::Prng;
 
@@ -29,63 +28,19 @@ impl Defense for Cls {
     }
 
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
-        super::apply_pool(cfg);
         let classes = ds.kind.classes();
-        let mut opt = Adam::new(cfg.lr);
-        let mut report = TrainReport::new(self.name());
-        let (mut driver, mut epoch) = RunDriver::begin(
-            cfg,
-            RunParts {
-                stores: vec![("model", &mut net.params)],
-                optims: vec![("opt", &mut opt)],
-                rng: &mut *rng,
-            },
-            &mut report,
-        );
-        while epoch < cfg.epochs {
-            let (secs, loss) = timed_epoch(|| {
-                let mut loss_sum = 0.0;
-                let mut batches_seen = 0;
-                for (xb, yb) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
-                    // Only perturbed inputs (Figure 2b).
-                    let xp = preprocess::gaussian_perturb(&xb, cfg.sigma, rng);
-                    let targets = one_hot(&yb, classes);
-
-                    let mut sess = Session::new(&net.params, Mode::Train, rng.fork(0xC3));
-                    let x = sess.input(xp);
-                    let z = net.model.forward(&mut sess, x);
-                    let ce = sess.tape.softmax_cross_entropy(z, &targets);
-                    let squeeze = sess.tape.l2_sq_mean_rows(z);
-                    let pen = sess.tape.scale(squeeze, cfg.lambda);
-                    let total = sess.tape.add(ce, pen);
-
-                    let batch_loss = sess.tape.value(total).item();
-                    if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
-                        return batch_loss;
-                    }
-                    loss_sum += batch_loss;
-                    batches_seen += 1;
-                    let grads = sess.backward(total);
-                    opt.step(&mut net.params, &grads);
-                }
-                loss_sum / batches_seen.max(1) as f32
-            });
-            match driver.after_epoch(
-                epoch,
-                secs,
-                loss,
-                RunParts {
-                    stores: vec![("model", &mut net.params)],
-                    optims: vec![("opt", &mut opt)],
-                    rng: &mut *rng,
-                },
-                &mut report,
-            ) {
-                EpochOutcome::Next(e) => epoch = e,
-                EpochOutcome::Stop => break,
-            }
-        }
-        report
+        train_loop(self.name(), net, ds, cfg, rng, &mut |b: Batch<'_>| {
+            // Only perturbed inputs (Figure 2b).
+            let xp = preprocess::gaussian_perturb(&b.x, cfg.sigma, b.rng);
+            let mut sess = Session::new(&b.net.params, Mode::Train, b.rng.fork(0xC3));
+            let x = sess.input(xp);
+            let z = b.net.model.forward(&mut sess, x);
+            let ce = sess.tape.softmax_cross_entropy(z, &one_hot(&b.y, classes));
+            let squeeze = sess.tape.l2_sq_mean_rows(z);
+            let pen = sess.tape.scale(squeeze, cfg.lambda);
+            let total = sess.tape.add(ce, pen);
+            Some((sess, total))
+        })
     }
 }
 

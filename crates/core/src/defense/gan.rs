@@ -23,12 +23,13 @@
 //!   current classifier each batch. Full knowledge; the paper's strongest
 //!   GAN baseline.
 
-use super::{timed_epoch, Defense, EpochOutcome, RunDriver, RunParts, TrainReport};
+use super::{half_perturbed, train_loop, training_pgd, Batch, Defense, Step, TrainReport};
 use crate::TrainConfig;
-use gandef_attack::{Attack, Pgd};
-use gandef_data::{batches, preprocess, Dataset};
+use gandef_attack::Attack;
+use gandef_autodiff::VarId;
+use gandef_data::{preprocess, Dataset};
 use gandef_nn::optim::{Adam, Optimizer};
-use gandef_nn::{one_hot, zoo, Mode, Net, Session};
+use gandef_nn::{one_hot, zoo, Mode, Net, Params, Session};
 use gandef_tensor::rng::Prng;
 use gandef_tensor::Tensor;
 
@@ -102,28 +103,6 @@ impl GanDef {
         self.disc_widths = widths.to_vec();
         self
     }
-
-    /// Generates the perturbed half of a training batch.
-    fn perturb(
-        &self,
-        net: &Net,
-        x: &Tensor,
-        y: &[usize],
-        cfg: &TrainConfig,
-        rng: &mut Prng,
-    ) -> Tensor {
-        match self.source {
-            Source::Noise(NoiseKind::Gaussian) => preprocess::gaussian_perturb(x, cfg.sigma, rng),
-            Source::Noise(NoiseKind::Uniform) => preprocess::uniform_perturb(x, cfg.sigma, rng),
-            Source::Noise(NoiseKind::SaltPepper) => {
-                preprocess::salt_pepper_perturb(x, (cfg.sigma * 0.25).min(0.9), rng)
-            }
-            Source::Pgd => {
-                let b = cfg.budget.training_variant(cfg.train_pgd_iters);
-                Pgd::new(b.eps, b.pgd_step, b.pgd_iters).perturb(net, x, y, rng)
-            }
-        }
-    }
 }
 
 impl Defense for GanDef {
@@ -139,136 +118,108 @@ impl Defense for GanDef {
     /// Algorithm 1 of the paper: alternating discriminator / classifier
     /// updates over mixed batches of original and perturbed examples.
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
-        super::apply_pool(cfg);
         let classes = ds.kind.classes();
         // Line 1: initialize weight parameters in both networks.
-        let mut disc = Net::with_classes(
+        let disc = Net::with_classes(
             zoo::discriminator_with_widths(classes, &self.disc_widths),
             1,
             &mut rng.fork(0xD0),
         );
-        let mut opt_c = Adam::new(cfg.lr);
-        let mut opt_d = Adam::new(cfg.disc_lr); // §IV-D-2: Adam, lr 0.001
-        let mut report = TrainReport::new(self.name());
-
-        // γ warm-up: ramp the discriminator term in over the first quarter
-        // of training. Starting the minimax at full strength can trap the
-        // classifier in the degenerate constant-logits equilibrium (z
-        // independent of x fools D perfectly *and* abandons
-        // classification); letting CE win first makes that point
-        // unattractive. Standard GAN stabilization; see DESIGN.md §7.
-        let warmup = (cfg.epochs / 4).max(1);
-        // Both networks and both optimizers are run state: a resumed
-        // minimax game must pick up the *co-trained* discriminator, or the
-        // classifier faces an opponent from the wrong point in the game.
-        // γ needs no capture — it is derived from the epoch index below.
-        let (mut driver, mut epoch) = RunDriver::begin(
+        let mut game = Minimax {
+            source: self.source,
             cfg,
-            RunParts {
-                stores: vec![("model", &mut net.params), ("disc", &mut disc.params)],
-                optims: vec![("opt_c", &mut opt_c), ("opt_d", &mut opt_d)],
-                rng: &mut *rng,
-            },
-            &mut report,
-        );
-        while epoch < cfg.epochs {
-            let gamma = cfg.gamma * ((epoch as f32 + 1.0) / warmup as f32).min(1.0);
-            let (secs, loss) = timed_epoch(|| {
-                let mut loss_sum = 0.0;
-                let mut batches_seen = 0;
-                // Line 2: global training iterations (one per batch).
-                for (xb, yb) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
-                    let n = xb.dim(0);
-                    if n < 2 {
-                        continue;
-                    }
-                    let half = n / 2;
-                    // Lines 4–5 / 9–10: evenly sampled originals and
-                    // perturbed examples with their source indicator s
-                    // (0 = original x̄, 1 = perturbed x̂).
-                    let clean = xb.slice_rows(0, half);
-                    let pert_src = xb.slice_rows(half, n);
-                    let perturbed = self.perturb(net, &pert_src, &yb[half..], cfg, rng);
-                    let mixed = Tensor::concat_rows(&[&clean, &perturbed]);
-                    let targets = one_hot(&yb, classes);
-                    let s = Tensor::from_fn(&[n, 1], |i| if i < half { 0.0 } else { 1.0 });
-
-                    // Lines 3–8: discriminator iterations. The classifier
-                    // is frozen by detaching z (line 6: "Fix Ω_C").
-                    for _ in 0..cfg.disc_steps {
-                        let mut sess = Session::new_multi(
-                            &[&net.params, &disc.params],
-                            Mode::Train,
-                            rng.fork(0xD1),
-                        );
-                        let x = sess.input(mixed.clone());
-                        let z = net.model.forward(&mut sess, x);
-                        let z_frozen = sess.tape.detach(z);
-                        let d_out = disc.model.forward(&mut sess, z_frozen);
-                        // Line 7: update Ω_D to maximize log-likelihood of
-                        // s given z ⇔ minimize BCE.
-                        let d_loss = sess.tape.bce_with_logits(d_out, &s);
-                        let mut grads = sess.backward_all(d_loss);
-                        // lint:allow(panic) — `backward_all` returns one
-                        // grad set per store passed to `new_multi` (two
-                        // here), so the pop cannot fail.
-                        opt_d.step(&mut disc.params, &grads.pop().expect("disc grads"));
-                    }
-
-                    // Lines 9–12: classifier iteration. The discriminator
-                    // is frozen by discarding its gradients (line 11:
-                    // "Fix Ω_D").
-                    let mut sess = Session::new_multi(
-                        &[&net.params, &disc.params],
-                        Mode::Train,
-                        rng.fork(0xD2),
-                    );
-                    let x = sess.input(mixed);
-                    let z = net.model.forward(&mut sess, x);
-                    let ce = sess.tape.softmax_cross_entropy(z, &targets);
-                    let d_out = disc.model.forward(&mut sess, z);
-                    let d_bce = sess.tape.bce_with_logits(d_out, &s);
-                    // J(C) = CE − γ·BCE(D(z), s): the classifier classifies
-                    // well while *hiding* s from D. The reward −BCE is
-                    // unbounded (once D lags, C can inflate its logits
-                    // without limit and destroy clean accuracy), so we cap
-                    // the BCE term at ADV_REWARD_CAP: past that point D is
-                    // thoroughly fooled and no further pressure is applied
-                    // until D recovers (see DESIGN.md §7). Capping keeps
-                    // the paper's gradients intact near equilibrium —
-                    // chance-level BCE is ln 2 ≈ 0.69, well below the cap.
-                    let d_capped = sess.tape.clamp_max(d_bce, ADV_REWARD_CAP);
-                    let neg = sess.tape.scale(d_capped, -gamma);
-                    let total = sess.tape.add(ce, neg);
-
-                    let batch_loss = sess.tape.value(total).item();
-                    if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
-                        return batch_loss;
-                    }
-                    loss_sum += batch_loss;
-                    batches_seen += 1;
-                    let grads = sess.backward_all(total);
-                    opt_c.step(&mut net.params, &grads[0]);
-                }
-                loss_sum / batches_seen.max(1) as f32
-            });
-            match driver.after_epoch(
-                epoch,
-                secs,
-                loss,
-                RunParts {
-                    stores: vec![("model", &mut net.params), ("disc", &mut disc.params)],
-                    optims: vec![("opt_c", &mut opt_c), ("opt_d", &mut opt_d)],
-                    rng: &mut *rng,
-                },
-                &mut report,
-            ) {
-                EpochOutcome::Next(e) => epoch = e,
-                EpochOutcome::Stop => break,
-            }
-        }
-        report.discriminator = Some(disc);
+            classes,
+            // γ warm-up: ramp the discriminator term in over the first
+            // quarter of training. Starting the minimax at full strength can
+            // trap the classifier in the degenerate constant-logits
+            // equilibrium (z independent of x fools D perfectly *and*
+            // abandons classification); letting CE win first makes that
+            // point unattractive. Standard GAN stabilization; see DESIGN.md
+            // §7. γ needs no checkpoint: it is derived from the epoch index.
+            warmup: (cfg.epochs / 4).max(1),
+            disc,
+            opt_d: Adam::new(cfg.disc_lr), // §IV-D-2: Adam, lr 0.001
+        };
+        let mut report = train_loop(self.name(), net, ds, cfg, rng, &mut game);
+        report.discriminator = Some(game.disc);
         report
+    }
+}
+
+/// One GanDef training run's minimax game: the step of Algorithm 1 (line 2:
+/// one global iteration per batch), carrying the discriminator and its Adam
+/// from batch to batch.
+struct Minimax<'a> {
+    source: Source,
+    cfg: &'a TrainConfig,
+    classes: usize,
+    warmup: usize,
+    disc: Net,
+    opt_d: Adam,
+}
+
+impl Step for Minimax<'_> {
+    fn loss(&mut self, b: Batch<'_>) -> Option<(Session, VarId)> {
+        let cfg = self.cfg;
+        let gamma = cfg.gamma * ((b.epoch as f32 + 1.0) / self.warmup as f32).min(1.0);
+        // Lines 4–5 / 9–10: evenly sampled originals and perturbed examples
+        // with their source indicator s (0 = original x̄, 1 = perturbed x̂).
+        let mixed = half_perturbed(&b.x, &b.y, |x, y| match self.source {
+            Source::Noise(NoiseKind::Gaussian) => preprocess::gaussian_perturb(x, cfg.sigma, b.rng),
+            Source::Noise(NoiseKind::Uniform) => preprocess::uniform_perturb(x, cfg.sigma, b.rng),
+            Source::Noise(NoiseKind::SaltPepper) => {
+                preprocess::salt_pepper_perturb(x, (cfg.sigma * 0.25).min(0.9), b.rng)
+            }
+            Source::Pgd => training_pgd(cfg).perturb(b.net, x, y, b.rng),
+        })?;
+        let (n, half) = (mixed.dim(0), mixed.dim(0) / 2);
+        let targets = one_hot(&b.y, self.classes);
+        let s = Tensor::from_fn(&[n, 1], |i| if i < half { 0.0 } else { 1.0 });
+        let (net, disc, opt_d) = (b.net, &mut self.disc, &mut self.opt_d);
+
+        // Lines 3–8: discriminator iterations. The classifier is frozen by
+        // detaching z (line 6: "Fix Ω_C").
+        for _ in 0..cfg.disc_steps {
+            let mut sess =
+                Session::new_multi(&[&net.params, &disc.params], Mode::Train, b.rng.fork(0xD1));
+            let x = sess.input(mixed.clone());
+            let z = net.model.forward(&mut sess, x);
+            let z_frozen = sess.tape.detach(z);
+            let d_out = disc.model.forward(&mut sess, z_frozen);
+            // Line 7: update Ω_D to maximize log-likelihood of s given z ⇔
+            // minimize BCE.
+            let d_loss = sess.tape.bce_with_logits(d_out, &s);
+            let mut grads = sess.backward_all(d_loss);
+            // lint:allow(panic) — `backward_all` returns one grad set per
+            // store passed to `new_multi` (two here), so the pop cannot fail.
+            opt_d.step(&mut disc.params, &grads.pop().expect("disc grads"));
+        }
+
+        // Lines 9–12: classifier iteration. The discriminator is frozen by
+        // discarding its gradients (line 11: "Fix Ω_D"); the loop updates
+        // the classifier from this loss.
+        let mut sess =
+            Session::new_multi(&[&net.params, &disc.params], Mode::Train, b.rng.fork(0xD2));
+        let x = sess.input(mixed);
+        let z = net.model.forward(&mut sess, x);
+        let ce = sess.tape.softmax_cross_entropy(z, &targets);
+        let d_out = disc.model.forward(&mut sess, z);
+        let d_bce = sess.tape.bce_with_logits(d_out, &s);
+        // J(C) = CE − γ·BCE(D(z), s): the classifier classifies well while
+        // *hiding* s from D. The reward −BCE is unbounded (once D lags, C can
+        // inflate its logits without limit and destroy clean accuracy), so we
+        // cap the BCE term at ADV_REWARD_CAP: past that point D is thoroughly
+        // fooled and no further pressure is applied until D recovers (see
+        // DESIGN.md §7). Capping keeps the paper's gradients intact near
+        // equilibrium — chance-level BCE is ln 2 ≈ 0.69, well below the cap.
+        let d_capped = sess.tape.clamp_max(d_bce, ADV_REWARD_CAP);
+        let neg = sess.tape.scale(d_capped, -gamma);
+        let total = sess.tape.add(ce, neg);
+        Some((sess, total))
+    }
+
+    fn co_trained(&mut self) -> Option<(&mut Params, &mut Adam)> {
+        Some((&mut self.disc.params, &mut self.opt_d))
     }
 }
 

@@ -10,6 +10,11 @@
 //! | [`AdvTraining::fgsm`] | FGSM-Adv \[6\] | full | clean + FGSM |
 //! | [`AdvTraining::pgd`] | PGD-Adv \[14\] | full | clean + PGD |
 //! | [`GanDef::pgd`] | PGD-GanDef | full | clean + PGD |
+//!
+//! All seven run one epoch loop, `train_loop` (resume, batching, the
+//! divergence guard, the classifier's Adam step, checkpoints). A defense
+//! supplies only its step: one batch's loss (Figure 2a–c), plus, for
+//! GanDef, the discriminator update of Algorithm 1 lines 3–8.
 
 mod adv;
 mod clp;
@@ -22,13 +27,17 @@ pub use adv::AdvTraining;
 pub use clp::Clp;
 pub use cls::Cls;
 pub use gan::{GanDef, NoiseKind};
-pub use resume::{EpochOutcome, RunDriver, RunParts};
 pub use vanilla::Vanilla;
 
 use crate::TrainConfig;
-use gandef_data::Dataset;
-use gandef_nn::Net;
+use gandef_attack::Pgd;
+use gandef_autodiff::VarId;
+use gandef_data::{batches, Dataset};
+use gandef_nn::optim::{Adam, Optimizer};
+use gandef_nn::{Net, Params, Session};
 use gandef_tensor::rng::Prng;
+use gandef_tensor::Tensor;
+use resume::{EpochOutcome, RunDriver, RunParts};
 use std::time::Instant;
 
 /// A defense: a training procedure applied to a classifier.
@@ -164,25 +173,146 @@ impl TrainReport {
     }
 }
 
-/// Measures one epoch: runs `body`, returns `(seconds, mean loss)`.
-pub(crate) fn timed_epoch(body: impl FnOnce() -> f32) -> (f64, f32) {
-    // lint:allow(nondet) — telemetry duration: the reading is reported
-    // to the caller's log line and never feeds a trained value.
-    let start = Instant::now();
-    let loss = body();
-    (start.elapsed().as_secs_f64(), loss)
+/// One training batch as a step sees it: examples `x`, labels `y`, the
+/// classifier `net`, the training RNG and the zero-based epoch index.
+pub(crate) struct Batch<'a> {
+    pub x: Tensor,
+    pub y: Vec<usize>,
+    pub net: &'a Net,
+    pub rng: &'a mut Prng,
+    pub epoch: usize,
 }
 
-/// Applies the config's numerics settings before training starts. Called
-/// at the top of every `Defense::train` so `cfg.pool_threads` governs the
-/// whole run (a no-op once the pool has been built by an earlier run) and
-/// `cfg.accum`, when set, selects the process-wide accumulation precision
-/// for every kernel the run touches.
-pub(crate) fn apply_pool(cfg: &TrainConfig) {
+/// What sets one defense apart: the loss it builds for a batch. Any
+/// `FnMut(Batch) -> Option<(Session, VarId)>` closure is a step.
+pub(crate) trait Step {
+    /// Builds one batch's loss on a fresh session, or returns `None` to
+    /// skip a batch too small to split.
+    fn loss(&mut self, batch: Batch<'_>) -> Option<(Session, VarId)>;
+
+    /// A second network the step trains itself, with its optimizer
+    /// (GanDef's discriminator). The loop checkpoints it and rolls it
+    /// back together with the classifier.
+    fn co_trained(&mut self) -> Option<(&mut Params, &mut Adam)> {
+        None
+    }
+}
+
+impl<F: FnMut(Batch<'_>) -> Option<(Session, VarId)>> Step for F {
+    fn loss(&mut self, batch: Batch<'_>) -> Option<(Session, VarId)> {
+        self(batch)
+    }
+}
+
+/// The epoch loop every defense shares. Resumes from the configured
+/// checkpoint, then per epoch: shuffles the training split into batches,
+/// asks `step` for each batch's loss, checks it for divergence, and takes
+/// the classifier's Adam step; at the epoch boundary the run driver
+/// records, checkpoints or rolls back the run.
+pub(crate) fn train_loop(
+    name: &'static str,
+    net: &mut Net,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    rng: &mut Prng,
+    step: &mut impl Step,
+) -> TrainReport {
+    // `cfg.pool_threads` governs the run (a no-op once the pool exists);
+    // `cfg.accum`, when set, picks the process-wide accumulation precision.
     gandef_tensor::pool::configure_threads(cfg.pool_threads);
     if let Some(mode) = cfg.accum {
         gandef_tensor::accum::set_accum(mode);
     }
+    let mut opt = Adam::new(cfg.lr);
+    let mut report = TrainReport::new(name);
+    let parts = run_parts(&mut net.params, &mut opt, step, rng);
+    let (mut driver, mut epoch) = RunDriver::begin(cfg, parts, &mut report);
+    while epoch < cfg.epochs {
+        // lint:allow(nondet) — telemetry duration: the reading is reported
+        // to the caller's log line and never feeds a trained value.
+        let start = Instant::now();
+        let loss = 'epoch: {
+            let (mut loss_sum, mut batches_seen) = (0.0, 0);
+            for (x, y) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
+                let batch = Batch {
+                    x,
+                    y,
+                    net,
+                    rng,
+                    epoch,
+                };
+                let Some((sess, loss)) = step.loss(batch) else {
+                    continue;
+                };
+                let batch_loss = sess.tape.value(loss).item();
+                if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
+                    // The divergent batch loss becomes the epoch loss, so the
+                    // boundary rolls back now, before the mean dilutes it.
+                    break 'epoch batch_loss;
+                }
+                loss_sum += batch_loss;
+                batches_seen += 1;
+                opt.step(&mut net.params, &sess.backward(loss));
+            }
+            loss_sum / batches_seen.max(1) as f32
+        };
+        let secs = start.elapsed().as_secs_f64();
+        let parts = run_parts(&mut net.params, &mut opt, step, rng);
+        match driver.after_epoch(epoch, secs, loss, parts, &mut report) {
+            EpochOutcome::Next(e) => epoch = e,
+            EpochOutcome::Stop => break,
+        }
+    }
+    report
+}
+
+/// The run state's named pieces. The names are the checkpoint layout:
+/// `model`/`opt`, or `model`/`disc` with `opt_c`/`opt_d` when the step
+/// co-trains a discriminator — a resumed minimax game must pick up the
+/// co-trained discriminator, or the classifier faces an opponent from the
+/// wrong point in the game.
+fn run_parts<'a>(
+    model: &'a mut Params,
+    opt: &'a mut Adam,
+    step: &'a mut impl Step,
+    rng: &'a mut Prng,
+) -> RunParts<'a> {
+    let (stores, optims) = match step.co_trained() {
+        None => (vec![("model", model)], vec![("opt", opt)]),
+        Some((disc, opt_d)) => (
+            vec![("model", model), ("disc", disc)],
+            vec![("opt_c", opt), ("opt_d", opt_d)],
+        ),
+    };
+    RunParts {
+        stores,
+        optims,
+        rng,
+    }
+}
+
+/// The mixed batch adversarial training and GanDef learn from: the first
+/// half of `x` as is, the second half through `perturb` (given those rows
+/// and their labels). `None` when `x` has fewer than two rows to split.
+pub(crate) fn half_perturbed(
+    x: &Tensor,
+    y: &[usize],
+    perturb: impl FnOnce(&Tensor, &[usize]) -> Tensor,
+) -> Option<Tensor> {
+    let n = x.dim(0);
+    if n < 2 {
+        return None;
+    }
+    let half = n / 2;
+    let perturbed = perturb(&x.slice_rows(half, n), &y[half..]);
+    Some(Tensor::concat_rows(&[&x.slice_rows(0, half), &perturbed]))
+}
+
+/// The PGD that full-knowledge trainers generate examples with: the
+/// config's budget cut to `train_pgd_iters` iterations.
+pub(crate) fn training_pgd(cfg: &TrainConfig) -> Pgd {
+    let b = cfg.budget.training_variant(cfg.train_pgd_iters);
+    Pgd::new(b.eps, b.pgd_step, b.pgd_iters)
 }
 
 #[cfg(test)]
@@ -213,12 +343,5 @@ mod tests {
         let mut good = TrainReport::new("good");
         good.epoch_losses = vec![2.3, 1.0, 0.4];
         assert!(!good.failed_to_converge(0.05));
-    }
-
-    #[test]
-    fn timed_epoch_passes_loss_through() {
-        let (secs, loss) = timed_epoch(|| 1.25);
-        assert!(secs >= 0.0);
-        assert_eq!(loss, 1.25);
     }
 }

@@ -1,17 +1,13 @@
 //! The run driver: crash-safe checkpointing, resume, and the divergence
-//! guard shared by every `Defense::train` epoch loop.
+//! guard behind the one training loop (`train_loop` in the parent module).
 //!
-//! Each trainer hands the driver its mutable run pieces — parameter
-//! stores, Adam optimizers, the training RNG — at two boundaries:
-//!
-//! * [`RunDriver::begin`] attempts a resume from the configured
-//!   checkpoint directory (restoring weights, optimizer moments, RNG
-//!   state and the epoch counter), and captures the initial in-memory
-//!   snapshot the guard can roll back to.
-//! * [`RunDriver::after_epoch`] records the epoch, checks the loss for
-//!   divergence, rolls back with learning-rate backoff when it finds it,
-//!   writes the periodic checkpoint, and tells the trainer which epoch to
-//!   run next.
+//! The loop hands the driver its mutable run pieces — parameter stores,
+//! Adam optimizers, the training RNG — when the run begins, where the
+//! driver resumes from the configured checkpoint directory (weights,
+//! optimizer moments, RNG state, epoch counter) and snapshots the state
+//! the guard can roll back to; and after every epoch, where it records the
+//! epoch, checks its loss for divergence, rolls back with learning-rate
+//! backoff, writes the periodic checkpoint, and names the next epoch.
 //!
 //! Under [`Accum::F64`](gandef_tensor::accum::Accum) a resumed run is
 //! *bit-exact*: training 4 epochs, killing the process and resuming for 4
@@ -37,14 +33,14 @@ use std::path::PathBuf;
 /// fresh at each driver call (the borrows last only for the call), with
 /// stable names so multi-network trainers (GanDef: classifier +
 /// discriminator) checkpoint unambiguously.
-pub struct RunParts<'a> {
+pub(super) struct RunParts<'a> {
     /// Named parameter stores, e.g. `[("model", ..)]` or
     /// `[("model", ..), ("disc", ..)]`.
-    pub stores: Vec<(&'static str, &'a mut Params)>,
+    pub(super) stores: Vec<(&'static str, &'a mut Params)>,
     /// Named optimizers, parallel to the stores they update.
-    pub optims: Vec<(&'static str, &'a mut Adam)>,
+    pub(super) optims: Vec<(&'static str, &'a mut Adam)>,
     /// The training RNG.
-    pub rng: &'a mut Prng,
+    pub(super) rng: &'a mut Prng,
 }
 
 impl RunParts<'_> {
@@ -101,9 +97,9 @@ impl RunParts<'_> {
     }
 }
 
-/// What the trainer should do after an epoch boundary.
+/// What the training loop should do after an epoch boundary.
 #[derive(Debug, PartialEq, Eq)]
-pub enum EpochOutcome {
+pub(super) enum EpochOutcome {
     /// Continue with this epoch index (the next epoch, or an earlier one
     /// after a divergence rollback).
     Next(usize),
@@ -113,7 +109,7 @@ pub enum EpochOutcome {
 }
 
 /// Per-run driver state. One per `Defense::train` invocation.
-pub struct RunDriver {
+pub(super) struct RunDriver {
     dir: Option<PathBuf>,
     every: usize,
     keep: usize,
@@ -137,7 +133,7 @@ impl RunDriver {
     /// [`RunEvent::ResumeFailed`] in the report and a stderr note) —
     /// silently retraining from scratch over a damaged checkpoint is
     /// exactly the failure mode the checksums exist to surface.
-    pub fn begin(
+    pub(super) fn begin(
         cfg: &TrainConfig,
         mut parts: RunParts<'_>,
         report: &mut TrainReport,
@@ -222,7 +218,7 @@ impl RunDriver {
     /// the run back to the last good snapshot with the learning rate
     /// scaled down — until the retry budget runs out, at which point the
     /// guard restores the last good state and stops the run.
-    pub fn after_epoch(
+    pub(super) fn after_epoch(
         &mut self,
         epoch: usize,
         secs: f64,
@@ -306,17 +302,15 @@ impl RunDriver {
     /// Checks a single batch's loss mid-epoch. Returns `true` when the
     /// batch is divergent (non-finite, or a spike past the guard's factor
     /// against the last healthy *epoch* loss) and the guard is armed — the
-    /// trainer must then abort the epoch immediately and report this batch
-    /// loss as the epoch loss, so [`after_epoch`]'s rollback path fires the
-    /// same epoch. Without this check a mid-epoch NaN poisons the epoch
-    /// mean (caught one epoch of wasted work later) and a finite spike can
-    /// be diluted below the threshold entirely.
+    /// loop then aborts the epoch and reports this batch loss as the epoch
+    /// loss, so the epoch boundary rolls back the same epoch. Without this
+    /// check a mid-epoch NaN poisons the epoch mean (caught one epoch of
+    /// wasted work later) and a finite spike can be diluted below the
+    /// threshold entirely.
     ///
     /// Always `false` when the guard is disabled (`max_retries == 0`):
     /// disabled-guard runs record divergence untouched.
-    ///
-    /// [`after_epoch`]: RunDriver::after_epoch
-    pub fn batch_divergent(
+    pub(super) fn batch_divergent(
         &self,
         epoch: usize,
         batch: usize,

@@ -1,9 +1,8 @@
 //! The undefended baseline: plain supervised training on clean images.
 
-use super::{timed_epoch, Defense, EpochOutcome, RunDriver, RunParts, TrainReport};
+use super::{train_loop, Batch, Defense, TrainReport};
 use crate::TrainConfig;
-use gandef_data::{batches, Dataset};
-use gandef_nn::optim::{Adam, Optimizer};
+use gandef_data::Dataset;
 use gandef_nn::{one_hot, Mode, Net, Session};
 use gandef_tensor::rng::Prng;
 
@@ -18,58 +17,14 @@ impl Defense for Vanilla {
     }
 
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
-        super::apply_pool(cfg);
         let classes = ds.kind.classes();
-        let mut opt = Adam::new(cfg.lr);
-        let mut report = TrainReport::new(self.name());
-        let (mut driver, mut epoch) = RunDriver::begin(
-            cfg,
-            RunParts {
-                stores: vec![("model", &mut net.params)],
-                optims: vec![("opt", &mut opt)],
-                rng: &mut *rng,
-            },
-            &mut report,
-        );
-        while epoch < cfg.epochs {
-            let (secs, loss) = timed_epoch(|| {
-                let mut loss_sum = 0.0;
-                let mut batches_seen: usize = 0;
-                for (xb, yb) in batches(&ds.train_x, &ds.train_y, cfg.batch, rng) {
-                    let mut sess = Session::new(&net.params, Mode::Train, rng.fork(0xC1));
-                    let x = sess.input(xb);
-                    let z = net.model.forward(&mut sess, x);
-                    let loss = sess.tape.softmax_cross_entropy(z, &one_hot(&yb, classes));
-                    let batch_loss = sess.tape.value(loss).item();
-                    if driver.batch_divergent(epoch, batches_seen, batch_loss, &mut report) {
-                        // Abort the epoch: the divergent batch loss becomes
-                        // the epoch loss, so `after_epoch` rolls back now
-                        // instead of after the mean dilutes it.
-                        return batch_loss;
-                    }
-                    loss_sum += batch_loss;
-                    batches_seen += 1;
-                    let grads = sess.backward(loss);
-                    opt.step(&mut net.params, &grads);
-                }
-                loss_sum / batches_seen as f32
-            });
-            match driver.after_epoch(
-                epoch,
-                secs,
-                loss,
-                RunParts {
-                    stores: vec![("model", &mut net.params)],
-                    optims: vec![("opt", &mut opt)],
-                    rng: &mut *rng,
-                },
-                &mut report,
-            ) {
-                EpochOutcome::Next(e) => epoch = e,
-                EpochOutcome::Stop => break,
-            }
-        }
-        report
+        train_loop(self.name(), net, ds, cfg, rng, &mut |b: Batch<'_>| {
+            let mut sess = Session::new(&b.net.params, Mode::Train, b.rng.fork(0xC1));
+            let x = sess.input(b.x);
+            let z = b.net.model.forward(&mut sess, x);
+            let loss = sess.tape.softmax_cross_entropy(z, &one_hot(&b.y, classes));
+            Some((sess, loss))
+        })
     }
 }
 
