@@ -11,19 +11,19 @@
 //! naive path), not scheduler noise; see DESIGN.md "Benchmark gate".
 //!
 //! Usage: `bench_diff --baseline BENCH_tensor.json --fresh BENCH_smoke.json
-//! [--min-ratio 0.3] [--require a,b,c]` — exits 1 if any matched kernel's
-//! fresh throughput falls below `min-ratio` × the baseline throughput, or
-//! if a `--require`d kernel was not actually compared (missing from either
+//! [--require a,b,c]` — exits 1 if any matched kernel's fresh throughput
+//! falls below `MIN_RATIO` × the baseline throughput, or if a
+//! `--require`d kernel was not actually compared (missing from either
 //! side, or throughput-less) — so silently dropping a gated kernel from the
 //! bench run fails CI instead of weakening the gate.
 
 use gandef_bench::microbench::{self, Measurement};
 use std::process::ExitCode;
 
-/// Default fresh/baseline throughput ratio below which the gate fails.
-/// 0.3 tolerates smoke-size and machine variance while still catching the
+/// Fresh/baseline throughput ratio below which the gate fails. 0.3
+/// tolerates smoke-size and machine variance while still catching the
 /// ~3x slowdown of e.g. reverting to the seed's naive GEMM.
-const DEFAULT_MIN_RATIO: f64 = 0.3;
+const MIN_RATIO: f64 = 0.3;
 
 fn load(path: &str) -> Vec<Measurement> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -39,28 +39,19 @@ fn load(path: &str) -> Vec<Measurement> {
 fn main() -> ExitCode {
     let mut baseline_path = String::from("BENCH_tensor.json");
     let mut fresh_path = String::new();
-    let mut min_ratio = DEFAULT_MIN_RATIO;
     let mut required: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baseline" => baseline_path = args.next().expect("--baseline requires a path"),
             "--fresh" => fresh_path = args.next().expect("--fresh requires a path"),
-            "--min-ratio" => {
-                min_ratio = args
-                    .next()
-                    .expect("--min-ratio requires a number")
-                    .parse()
-                    .expect("--min-ratio must be a number");
-            }
             "--require" => {
                 let list = args.next().expect("--require needs a comma-separated list");
                 required.extend(list.split(',').map(str::to_string));
             }
             other => {
                 eprintln!(
-                    "unknown flag {other}; supported: --baseline PATH --fresh PATH \
-                     --min-ratio X --require a,b,c"
+                    "unknown flag {other}; supported: --baseline PATH --fresh PATH --require a,b,c"
                 );
                 return ExitCode::from(2);
             }
@@ -99,7 +90,7 @@ fn main() -> ExitCode {
         compared += 1;
         compared_names.push(&f.name);
         let ratio = f.gflops / b.gflops;
-        let ok = ratio >= min_ratio;
+        let ok = ratio >= MIN_RATIO;
         failed |= !ok;
         println!(
             "{:<18} {:>12.2} {:>12.2} {:>8.2}  {}",
@@ -125,10 +116,10 @@ fn main() -> ExitCode {
     }
     if failed {
         eprintln!(
-            "bench_diff: throughput regression beyond {min_ratio}x tolerance (baseline {baseline_path})"
+            "bench_diff: throughput regression beyond {MIN_RATIO}x tolerance (baseline {baseline_path})"
         );
         return ExitCode::FAILURE;
     }
-    println!("bench_diff: {compared} kernels within {min_ratio}x of {baseline_path}");
+    println!("bench_diff: {compared} kernels within {MIN_RATIO}x of {baseline_path}");
     ExitCode::SUCCESS
 }

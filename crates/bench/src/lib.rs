@@ -1,7 +1,7 @@
 //! Shared harness utilities for the table/figure binaries.
 //!
-//! Each binary under `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index):
+//! Most binaries under `src/bin/` each regenerate one artifact of the
+//! paper's evaluation (see DESIGN.md §4 for the experiment index):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -15,12 +15,21 @@
 //! | `augmentation_ablation` | §IV-B future-work noise comparison (extension) |
 //! | `transfer_attack` | §II-A black-box transfer setting (extension) |
 //! | `logit_signature` | §III-A logit-magnitude hypothesis (extension) |
-//! | `bench_kernels` | tensor-kernel micro-benchmarks → `BENCH_tensor.json` |
 //!
-//! All binaries accept `--paper-scale` (paper epoch counts), `--train N`,
-//! `--test N`, `--seed S` and `--out DIR` (default `results/`), print their
-//! tables to stdout, and write machine-readable CSV/markdown under the
-//! output directory. The long-running training binaries (`table3`,
+//! The remaining binaries are tooling rather than paper artifacts:
+//!
+//! | Binary | Purpose |
+//! |---|---|
+//! | `bench_kernels` | tensor-kernel micro-benchmarks → `BENCH_tensor.json` |
+//! | `bench_diff` | CI throughput gate: fresh `bench_kernels` run vs `BENCH_tensor.json` |
+//! | `numerics_audit` | f64-accumulation oracle and training-trajectory divergence |
+//! | `crash_harness` | checkpoint crash-consistency sweep and cross-process resume oracle |
+//! | `stress_harness` | worker-pool and serve hot-reload contention (sanitizer target) |
+//!
+//! The paper-artifact binaries accept `--paper-scale` (paper epoch
+//! counts), `--train N`, `--test N`, `--seed S` and `--out DIR` (default
+//! `results/`), print their tables to stdout, and write machine-readable
+//! CSV/markdown under the output directory. The long-running training binaries (`table3`,
 //! `table4`, `fig5_convergence`) additionally accept `--resume DIR`: every
 //! training run then checkpoints into its own tagged subdirectory of `DIR`
 //! after each epoch and a rerun picks up at the last completed epoch

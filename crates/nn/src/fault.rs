@@ -28,10 +28,10 @@
 //! `scripts/ci.sh` sweeps `kill` over every I/O point of a small training
 //! run in a child process and asserts the on-disk checkpoint still loads
 //! as either the previous or the new complete state — never as silently
-//! accepted corruption. The `traffic_harness --chaos` sweep arms `panic`,
-//! `delay` and `io-fail` at every serve-path site in turn and asserts the
-//! serving invariants (every accepted request resolves, the batcher is
-//! respawned, no torn weights are ever served).
+//! accepted corruption. The chaos sweep test in `tests/serve.rs` arms
+//! `panic`, `delay` and `io-fail` at every serve-path site in turn and
+//! asserts the serving invariants (every accepted request resolves, the
+//! batcher is respawned, no torn weights are ever served).
 //!
 //! In-process tests arm a fault for one closure with [`with_fault`]; the
 //! override is thread-local, so parallel tests do not interfere. Faults

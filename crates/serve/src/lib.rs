@@ -43,9 +43,9 @@
 //!   with bounded exponential backoff plus jitter.
 //! * **Fault injection.** The serve path exposes `gandef_nn::fault`
 //!   sites — `serve_submit`, `serve_batch`, `serve_forward`,
-//!   `serve_reply`, `serve_reload` — so the chaos harness
-//!   (`traffic_harness --chaos`) can prove the invariants above hold
-//!   under injected panics, delays and I/O failures.
+//!   `serve_reply`, `serve_reload` — so the chaos sweep test in
+//!   `tests/serve.rs` can prove the invariants above hold under injected
+//!   panics, delays and I/O failures.
 //! * **Deterministic option.** With [`ServeConfig::accum`] set to
 //!   [`Accum::F64`], batched outputs are bit-identical to unbatched ones
 //!   (row reductions become order-independent at f64), which is what the

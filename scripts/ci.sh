@@ -12,9 +12,10 @@
 # the regeneration notes at those stages), a smoke run of the kernel
 # micro-benchmarks gated against the
 # checked-in BENCH_tensor.json (bench_diff; writes BENCH_smoke.json to a
-# temp dir so the checked-in file is never clobbered), the serving
-# traffic-generator smoke gated the same way against BENCH_serve.json
-# (p50/p99 latency and sustained request throughput), the numerics
+# temp dir so the checked-in file is never clobbered), a short perfbench
+# serve-mixed run whose output checks must pass (the served model
+# trains cleanly, every request resolves, the server's request count
+# matches, and every reply's argmax matches Sequential::infer), the numerics
 # audit (the f64-accumulation kernel oracle must be byte-identical
 # across thread counts and FMA settings, and the f64 training trajectory
 # must be reproducible), the crash-consistency sweep (a training child is
@@ -150,38 +151,14 @@ trap 'rm -rf "$out"' EXIT
 ./target/release/bench_diff --baseline BENCH_tensor.json --fresh "$out/BENCH_smoke.json" \
     --require matmul,conv2d,conv2d_im2col,conv2d_backward,elementwise_add,sum,sum_kahan
 
-echo "==> bench_serve --smoke + bench_diff"
-# Serving gate: the synthetic traffic generator drives the dynamic
-# batcher with a closed-loop client fleet and the p50/p99/throughput
-# trajectory is tracked in BENCH_serve.json. Latency percentiles are
-# noisier than kernel GFLOP/s, so the threshold is slightly looser.
-./target/release/bench_serve --smoke --out "$out/BENCH_serve_smoke.json"
-./target/release/bench_diff --baseline BENCH_serve.json --fresh "$out/BENCH_serve_smoke.json" \
-    --min-ratio 0.25 --require serve_p50,serve_p99,serve_throughput
-
-echo "==> traffic_harness --chaos --smoke (serve-path fault sweep)"
-# Chaos gate: every serve-path fault site (submit / batch / forward /
-# reply / reload) crossed with every injectable kind (io-fail / panic /
-# delay), against a fingerprint model whose replies expose torn weights.
-# Asserts the fault-tolerance invariants: every accepted request resolves
-# (no Pending::wait ever hangs), no reply shows a torn snapshot, the
-# supervisor respawns a panicked batcher, and service recovers once the
-# fault clears. Bounded runtime: a wedged fleet fails via recv_timeout.
-./target/release/traffic_harness --chaos --smoke
-
-echo "==> traffic_harness --smoke + bench_diff"
-# Continuous-traffic gate: mixed clean/FGSM/PGD/DeepFool replay against a
-# live server under concurrent hot-reloads, with windowed online accuracy
-# and latency tracked in BENCH_traffic.json. Latency ratios share
-# bench_serve's loose 0.25 threshold; the accuracy entry is
-# scale-independent, so the same gate catches a serving-path regression
-# that wrecks correctness rather than speed. The adversarial-class
-# accuracies are recorded but not required: the harness model is
-# undefended, so those sit at/near zero by design (bench_diff skips
-# zero-valued entries).
-./target/release/traffic_harness --smoke --out "$out/BENCH_traffic_smoke.json"
-./target/release/bench_diff --baseline BENCH_traffic.json --fresh "$out/BENCH_traffic_smoke.json" \
-    --min-ratio 0.25 --require traffic_throughput,traffic_p99,traffic_clean_acc
+echo "==> perfbench serve-mixed (serving output checks)"
+# Serving correctness: perfbench drives gandef-serve with the
+# clean/FGSM/PGD/DeepFool traffic mix over a trained LeNet and exits 1
+# when any output check fails. Serving speed is gated by BENCHMARK.json,
+# not here; the serve-path fault sweep and the hot-reload contracts run
+# as tests in tests/serve.rs.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve-mixed --seed 1 --seconds 2 --trace 0
 
 echo "==> numerics audit: f64 oracle invariance"
 # Under GANDEF_ACCUM=f64 the kernel fingerprints must not depend on the

@@ -15,15 +15,21 @@
 //!    the poll key).
 //! 5. **Supervision is invisible.** After the batcher panics and is
 //!    respawned, batched serving is still bit-identical to unbatched.
+//! 6. **Faults never hang or tear.** Under an injected panic, delay or
+//!    I/O failure at any serve-path site, every request resolves, no
+//!    reply shows a torn snapshot, and service recovers once the fault
+//!    clears.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use zk_gandef_repro::nn::fault::{FaultSpec, GlobalFault};
 use zk_gandef_repro::nn::layer::{Act, Dense, Layer, Sequential};
 use zk_gandef_repro::nn::serialize::save_params;
 use zk_gandef_repro::nn::Params;
-use zk_gandef_repro::serve::{ServeConfig, ServeError, Server};
+use zk_gandef_repro::serve::{RetryPolicy, ServeConfig, ServeError, Server};
 use zk_gandef_repro::tensor::accum::{with_accum, Accum};
 use zk_gandef_repro::tensor::rng::Prng;
 use zk_gandef_repro::tensor::Tensor;
@@ -31,8 +37,8 @@ use zk_gandef_repro::tensor::Tensor;
 const IN: usize = 12;
 const OUT: usize = 5;
 
-/// Serializes the tests in this binary: one of them arms the
-/// process-global fault injector at a serving site every server in this
+/// Serializes the tests in this binary: two of them arm the
+/// process-global fault injector at serving sites every server in this
 /// file passes through, so overlapping tests could steal each other's
 /// injected faults.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -45,6 +51,25 @@ fn model() -> Sequential {
     Sequential::new(vec![
         Box::new(Dense::new("fc1", IN, 16, Some(Act::Tanh))) as Box<dyn Layer>,
         Box::new(Dense::new("fc2", 16, OUT, None)),
+    ])
+}
+
+/// Fingerprint weights: a zero matrix and bias = `version`, so every
+/// correctly served row is exactly `[version; OUT]` bit for bit (the zero
+/// matmul contributes exactly 0.0). One reply identifies the snapshot
+/// that produced it; a reply mixing snapshots shows a non-constant row
+/// or a version never written.
+fn fingerprint_params(version: f32) -> Params {
+    let mut p = Params::default();
+    p.insert("fp.w", Tensor::zeros(&[IN, OUT]));
+    p.insert("fp.b", Tensor::full(&[OUT], version));
+    p
+}
+
+/// The single `Dense` layer [`fingerprint_params`] fills.
+fn fingerprint_model() -> Sequential {
+    Sequential::new(vec![
+        Box::new(Dense::new("fp", IN, OUT, None)) as Box<dyn Layer>
     ])
 }
 
@@ -230,31 +255,16 @@ fn shutdown_drains_the_queue() {
 
 /// Contract 4: hot-reload under contention is still atomic *per batch*.
 ///
-/// Weights-fingerprint construction: a single Dense layer with all-zero
-/// weights and bias = `version` makes every output row exactly
-/// `[version; OUT]` bit-for-bit (the zero matmul contributes exactly
-/// 0.0), so each response fingerprints the snapshot that produced it. A
-/// writer thread rewrites the checkpoint with increasing versions while
-/// client threads hammer `classify`; a response mixing old and new
-/// weights would show a non-constant row or a version never written.
+/// A writer thread rewrites a [`fingerprint_params`] checkpoint with
+/// increasing versions while client threads hammer `classify`; a
+/// response mixing old and new weights would show a non-constant row or
+/// a version never written.
 #[test]
 fn reload_under_contention_never_mixes_snapshots() {
     let _guard = serial();
     const CLIENTS: usize = 4;
     const REQS_PER_CLIENT: usize = 60;
     const VERSIONS: usize = 20;
-
-    fn fingerprint_params(version: f32) -> Params {
-        let mut p = Params::default();
-        p.insert("fp.w", Tensor::zeros(&[IN, OUT]));
-        p.insert("fp.b", Tensor::full(&[OUT], version));
-        p
-    }
-    let fp_model = || {
-        Sequential::new(vec![
-            Box::new(Dense::new("fp", IN, OUT, None)) as Box<dyn Layer>
-        ])
-    };
 
     let dir = temp_dir("contend");
     let ckpt = dir.join("weights.gndf");
@@ -266,7 +276,7 @@ fn reload_under_contention_never_mixes_snapshots() {
         .accum(Accum::F64)
         .reload_poll(Duration::from_millis(1));
     let server = Server::with_hot_reload(
-        fp_model(),
+        fingerprint_model(),
         fingerprint_params(1.0),
         vec![IN],
         cfg,
@@ -327,19 +337,6 @@ fn reload_under_contention_never_mixes_snapshots() {
 #[test]
 fn reload_detects_a_same_length_same_mtime_rewrite() {
     let _guard = serial();
-
-    fn fingerprint_params(version: f32) -> Params {
-        let mut p = Params::default();
-        p.insert("fp.w", Tensor::zeros(&[IN, OUT]));
-        p.insert("fp.b", Tensor::full(&[OUT], version));
-        p
-    }
-    let fp_model = || {
-        Sequential::new(vec![
-            Box::new(Dense::new("fp", IN, OUT, None)) as Box<dyn Layer>
-        ])
-    };
-
     let dir = temp_dir("crc");
     let ckpt = dir.join("weights.gndf");
     save_params(&fingerprint_params(1.0), &ckpt).unwrap();
@@ -351,7 +348,7 @@ fn reload_detects_a_same_length_same_mtime_rewrite() {
         .accum(Accum::F64)
         .reload_poll(Duration::from_millis(5));
     let server = Server::with_hot_reload(
-        fp_model(),
+        fingerprint_model(),
         fingerprint_params(1.0),
         vec![IN],
         cfg,
@@ -480,4 +477,198 @@ fn batching_stays_bit_identical_after_a_supervised_restart() {
             "row {i}: a supervised restart must not perturb bit-identity"
         );
     }
+}
+
+/// Contract 6: the chaos sweep. Every serve-path fault site crossed with
+/// every injectable kind, against a hot-reloading [`fingerprint_params`]
+/// server while a writer publishes new versions. For each of the 15
+/// scenarios: every request resolves with a reply or a typed error (no
+/// `Pending::wait` hangs), no reply fingerprints a torn or unpublished
+/// snapshot, the supervisor restarts a panicked batcher or watcher,
+/// injected I/O failures are counted, and the server answers again once
+/// the fault is disarmed.
+#[test]
+fn chaos_sweep_keeps_every_serving_invariant() {
+    let _guard = serial();
+    for kind in ["io-fail", "panic", "delay"] {
+        for site in [
+            "serve_submit",
+            "serve_batch",
+            "serve_forward",
+            "serve_reply",
+            "serve_reload",
+        ] {
+            chaos_scenario(kind, site);
+        }
+    }
+}
+
+/// Outcome tally of one chaos scenario's client fleet.
+#[derive(Default)]
+struct ChaosTally {
+    ok: u64,
+    typed_err: u64,
+    client_panics: u64,
+}
+
+fn chaos_scenario(kind: &str, site: &str) {
+    const CLIENTS: usize = 3;
+    const REQS_PER_CLIENT: usize = 15;
+    // v1 is the serving snapshot; the writer publishes v2..=VERSIONS.
+    const VERSIONS: u32 = 5;
+    // A fleet that has not reported by then is wedged in Pending::wait.
+    const JOIN_DEADLINE: Duration = Duration::from_secs(120);
+    let tag = format!("[{kind}:{site}]");
+
+    let dir = temp_dir(&format!("chaos-{kind}-{site}"));
+    let ckpt = dir.join("weights.gndf");
+    save_params(&fingerprint_params(1.0), &ckpt).unwrap();
+    let cfg = ServeConfig::default()
+        .max_batch(4)
+        .max_wait(Duration::from_millis(1))
+        .queue_cap(1024)
+        .deadline(Duration::from_millis(200))
+        .reload_poll(Duration::from_millis(5));
+    let server = Arc::new(Server::with_hot_reload(
+        fingerprint_model(),
+        fingerprint_params(1.0),
+        vec![IN],
+        cfg,
+        ckpt.clone(),
+    ));
+
+    // `serve_reload` fires only on a *changed* poll, so it gets a low
+    // ordinal; the request-path sites let a little clean traffic through.
+    let ordinal = if site == "serve_reload" { 2 } else { 3 };
+    let spec = match kind {
+        "delay" => format!("{kind}:{site}:{ordinal}:25"),
+        _ => format!("{kind}:{site}:{ordinal}"),
+    };
+    let armed = GlobalFault::arm(FaultSpec::parse(&spec).unwrap());
+
+    // Plain threads rather than a scope: a client wedged in
+    // Pending::wait must fail the test at the bounded receive below, not
+    // hang a scope join.
+    let writer_ckpt = ckpt.clone();
+    // lint:allow(spawn) — blocking writer thread: it sleeps between
+    // checkpoint writes, which would stall the compute pool.
+    let writer = std::thread::spawn(move || {
+        for v in 2..=VERSIONS {
+            std::thread::sleep(Duration::from_millis(25));
+            save_params(&fingerprint_params(v as f32), &writer_ckpt).unwrap();
+        }
+    });
+    let (tx, rx) = mpsc::channel::<ChaosTally>();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|id| {
+            let server = Arc::clone(&server);
+            let tx = tx.clone();
+            // lint:allow(spawn) — clients park in Pending::wait, the code
+            // path whose never-hang invariant is under test.
+            std::thread::spawn(move || {
+                let policy = RetryPolicy::default()
+                    .max_attempts(6)
+                    .base(Duration::from_millis(1))
+                    .cap(Duration::from_millis(20))
+                    .seed(7 + id as u64);
+                let mut local = ChaosTally::default();
+                for _ in 0..REQS_PER_CLIENT {
+                    // An injected panic at serve_submit unwinds the
+                    // submitting (client) thread; contain it so the tally
+                    // stays exact.
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        server.classify_with_retry(Tensor::zeros(&[IN]), &policy)
+                    }));
+                    match outcome {
+                        Ok(Ok(y)) => {
+                            let row = y.as_slice();
+                            let v = row[0];
+                            assert!(
+                                row.len() == OUT && row.iter().all(|&r| r == v),
+                                "torn snapshot: non-constant fingerprint row {row:?}"
+                            );
+                            assert!(
+                                (1..=VERSIONS).any(|k| v == k as f32),
+                                "fingerprint version {v} was never published"
+                            );
+                            local.ok += 1;
+                        }
+                        Ok(Err(_typed)) => local.typed_err += 1,
+                        Err(_panic) => local.client_panics += 1,
+                    }
+                }
+                tx.send(local).ok();
+            })
+        })
+        .collect();
+    drop(tx);
+
+    let mut tally = ChaosTally::default();
+    for _ in 0..CLIENTS {
+        match rx.recv_timeout(JOIN_DEADLINE) {
+            Ok(local) => {
+                tally.ok += local.ok;
+                tally.typed_err += local.typed_err;
+                tally.client_panics += local.client_panics;
+            }
+            // A client died on an assertion; its join below re-raises it.
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{tag} client fleet wedged: a Pending::wait never resolved")
+            }
+        }
+    }
+    for client in clients {
+        if let Err(payload) = client.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+    writer.join().unwrap();
+
+    assert_eq!(
+        tally.ok + tally.typed_err + tally.client_panics,
+        (CLIENTS * REQS_PER_CLIENT) as u64,
+        "{tag} lost track of requests"
+    );
+    // Only the fault that fires on the submitter's own stack unwinds a
+    // client.
+    if (kind, site) != ("panic", "serve_submit") {
+        assert_eq!(tally.client_panics, 0, "{tag} unexpected client panics");
+    }
+
+    // Bounded recovery: with the fault disarmed the service answers again
+    // (the supervisor has respawned any dead batcher).
+    drop(armed);
+    let recovery = RetryPolicy::default()
+        .max_attempts(8)
+        .base(Duration::from_millis(2))
+        .seed(99);
+    let y = server
+        .classify_with_retry(Tensor::zeros(&[IN]), &recovery)
+        .unwrap_or_else(|e| panic!("{tag} service did not recover: {e}"));
+    assert_eq!(y.shape().dims(), &[1, OUT]);
+
+    let stats = Arc::into_inner(server)
+        .expect("every client thread has been joined")
+        .shutdown();
+    match (kind, site) {
+        ("panic", "serve_batch" | "serve_forward" | "serve_reply") => assert!(
+            stats.batcher_restarts >= 1,
+            "{tag} batcher panic was not supervised: {stats:?}"
+        ),
+        ("panic", "serve_reload") => assert!(
+            stats.watcher_restarts >= 1,
+            "{tag} watcher panic was not contained: {stats:?}"
+        ),
+        ("io-fail", "serve_submit") => assert!(
+            stats.shed >= 1,
+            "{tag} injected admission failure never shed: {stats:?}"
+        ),
+        ("io-fail", "serve_reload") => assert!(
+            stats.rejected_reloads >= 1,
+            "{tag} injected reload failure never counted: {stats:?}"
+        ),
+        _ => {}
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
