@@ -11,12 +11,20 @@
 //!
 //! * A [`Tape`] owns a flat, append-only list of nodes. Node indices
 //!   ([`VarId`]) are handed back to the caller; construction order is a
-//!   topological order, so [`Tape::backward`] is a single reverse sweep.
-//! * Each op stores a boxed closure that maps the upstream gradient to the
-//!   gradients of its parents (capturing whatever forward values it needs).
+//!   topological order, so a backward pass is one forward pass to mark
+//!   nodes and one reverse sweep.
+//! * Each op stores a boxed closure that takes the upstream gradient by
+//!   value and returns an `Option<Tensor>` per parent. Closures copy no
+//!   forward values: they read their node's and their parents' values back
+//!   from the tape.
 //! * Leaves ([`Tape::leaf`]) are inputs *or* parameters — the tape does not
-//!   distinguish. Attacks read the gradient at an image leaf; optimizers
-//!   read the gradients at parameter leaves.
+//!   distinguish. [`Tape::backward_wrt`] computes only the gradients of the
+//!   leaves the caller names: it marks the nodes that lead to them, sweeps
+//!   only those, asks each op for only its marked parents' gradients, and
+//!   drops each intermediate gradient once it has been passed on. Attacks
+//!   name the image leaf; optimizers name the parameter leaves.
+//!   [`Tape::backward`] names every leaf, and a wanted leaf's gradient is
+//!   bit-identical either way.
 //! * Tapes are cheap and short-lived: one per training step / attack
 //!   iteration.
 //!
@@ -30,7 +38,7 @@
 //! let x = tape.leaf(Tensor::from_vec(vec![2], vec![3.0, -1.0]));
 //! let y = tape.square(x); // y = x²
 //! let loss = tape.sum_all(y);
-//! let grads = tape.backward(loss);
+//! let grads = tape.backward_wrt(loss, &[x]);
 //! // d(Σx²)/dx = 2x
 //! assert_eq!(grads.get(x).unwrap().as_slice(), &[6.0, -2.0]);
 //! ```

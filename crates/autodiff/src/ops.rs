@@ -2,14 +2,26 @@
 //!
 //! Every method takes node ids, computes the forward value eagerly, and
 //! registers a closure mapping the upstream gradient to parent gradients.
-//! Broadcasting ops push gradients back through [`Tensor::reduce_to`], the
-//! adjoint of broadcasting.
+//! Closures capture no forward values: they read their node's and its
+//! parents' values back from the tape, and compute a gradient only for the
+//! parents the sweep needs. Broadcasting ops push gradients back through
+//! [`Tensor::reduce_to`], the adjoint of broadcasting.
 
 use crate::tape::{Tape, VarId};
 use gandef_tensor::accum::{accum, Accum};
 use gandef_tensor::conv::{self, ConvSpec};
 use gandef_tensor::rng::Prng;
-use gandef_tensor::{linalg, Tensor};
+use gandef_tensor::{linalg, Shape, Tensor};
+
+/// `g` pushed back through a broadcast to `target`: moved as is when no
+/// axis was broadcast.
+fn unbroadcast(g: Tensor, target: &Shape) -> Tensor {
+    if g.shape() == target {
+        g
+    } else {
+        g.reduce_to(target)
+    }
+}
 
 impl Tape {
     // -----------------------------------------------------------------
@@ -19,38 +31,50 @@ impl Tape {
     /// `a + b` with broadcasting.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
         let value = self.value(a).add(self.value(b));
-        let (sa, sb) = (self.value(a).shape().clone(), self.value(b).shape().clone());
         self.push(
             value,
             vec![a, b],
-            Some(Box::new(move |g| vec![g.reduce_to(&sa), g.reduce_to(&sb)])),
+            Some(Box::new(|g, ctx| {
+                let (sa, sb) = (ctx.input(0).shape(), ctx.input(1).shape());
+                match (ctx.wants(0), ctx.wants(1)) {
+                    (true, true) => {
+                        let gb = g.reduce_to(sb);
+                        vec![Some(unbroadcast(g, sa)), Some(gb)]
+                    }
+                    (true, false) => vec![Some(unbroadcast(g, sa)), None],
+                    (false, _) => vec![None, Some(unbroadcast(g, sb))],
+                }
+            })),
         )
     }
 
     /// `a - b` with broadcasting.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
         let value = self.value(a).sub(self.value(b));
-        let (sa, sb) = (self.value(a).shape().clone(), self.value(b).shape().clone());
         self.push(
             value,
             vec![a, b],
-            Some(Box::new(move |g| {
-                vec![g.reduce_to(&sa), g.neg().reduce_to(&sb)]
+            Some(Box::new(|g, ctx| {
+                let (sa, sb) = (ctx.input(0).shape(), ctx.input(1).shape());
+                let gb = ctx.wants(1).then(|| unbroadcast(g.neg(), sb));
+                let ga = ctx.wants(0).then(|| unbroadcast(g, sa));
+                vec![ga, gb]
             })),
         )
     }
 
     /// Elementwise `a ⊙ b` with broadcasting.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        let va = self.value(a).clone();
-        let vb = self.value(b).clone();
-        let value = va.mul(&vb);
-        let (sa, sb) = (va.shape().clone(), vb.shape().clone());
+        let value = self.value(a).mul(self.value(b));
         self.push(
             value,
             vec![a, b],
-            Some(Box::new(move |g| {
-                vec![g.mul(&vb).reduce_to(&sa), g.mul(&va).reduce_to(&sb)]
+            Some(Box::new(|g, ctx| {
+                let (va, vb) = (ctx.input(0), ctx.input(1));
+                vec![
+                    ctx.wants(0).then(|| unbroadcast(g.mul(vb), va.shape())),
+                    ctx.wants(1).then(|| unbroadcast(g.mul(va), vb.shape())),
+                ]
             })),
         )
     }
@@ -62,7 +86,14 @@ impl Tape {
     /// `-x`.
     pub fn neg(&mut self, x: VarId) -> VarId {
         let value = self.value(x).neg();
-        self.push(value, vec![x], Some(Box::new(|g| vec![g.neg()])))
+        self.push(
+            value,
+            vec![x],
+            Some(Box::new(|mut g, _| {
+                g.map_inplace(|v| -v);
+                vec![Some(g)]
+            })),
+        )
     }
 
     /// `alpha · x`.
@@ -71,24 +102,28 @@ impl Tape {
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| vec![g.scale(alpha)])),
+            Some(Box::new(move |mut g, _| {
+                g.map_inplace(|v| v * alpha);
+                vec![Some(g)]
+            })),
         )
     }
 
     /// `x + alpha` (elementwise constant shift).
     pub fn add_scalar(&mut self, x: VarId, alpha: f32) -> VarId {
         let value = self.value(x).add_scalar(alpha);
-        self.push(value, vec![x], Some(Box::new(|g| vec![g.clone()])))
+        self.push(value, vec![x], Some(Box::new(|g, _| vec![Some(g)])))
     }
 
     /// `x²` elementwise.
     pub fn square(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.square();
+        let value = self.value(x).square();
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| vec![g.mul(&vx).scale(2.0)])),
+            Some(Box::new(|g, ctx| {
+                vec![Some(g.mul(ctx.input(0)).scale(2.0))]
+            })),
         )
     }
 
@@ -96,13 +131,18 @@ impl Tape {
     /// (ties get zero gradient). Used to bound adversarial reward terms in
     /// minimax objectives.
     pub fn clamp_max(&mut self, x: VarId, cap: f32) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.map(|v| v.min(cap));
+        let value = self.value(x).map(|v| v.min(cap));
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&vx, |gi, xi| if xi < cap { gi } else { 0.0 })]
+            Some(Box::new(move |g, ctx| {
+                vec![Some(g.broadcast_zip(ctx.input(0), |gi, xi| {
+                    if xi < cap {
+                        gi
+                    } else {
+                        0.0
+                    }
+                }))]
             })),
         )
     }
@@ -110,28 +150,39 @@ impl Tape {
     /// `eˣ` elementwise.
     pub fn exp(&mut self, x: VarId) -> VarId {
         let value = self.value(x).exp();
-        let y = value.clone();
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.mul(&y)])))
+        self.push(
+            value,
+            vec![x],
+            Some(Box::new(|g, ctx| vec![Some(g.mul(ctx.output()))])),
+        )
     }
 
     /// `ln x` elementwise.
     ///
     /// The caller is responsible for keeping `x` positive.
     pub fn ln(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.ln();
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.div(&vx)])))
+        let value = self.value(x).ln();
+        self.push(
+            value,
+            vec![x],
+            Some(Box::new(|g, ctx| vec![Some(g.div(ctx.input(0)))])),
+        )
     }
 
     /// Rectified linear unit `max(0, x)`.
     pub fn relu(&mut self, x: VarId) -> VarId {
-        let vx = self.value(x).clone();
-        let value = vx.relu();
+        let value = self.value(x).relu();
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&vx, |gi, xi| if xi > 0.0 { gi } else { 0.0 })]
+            Some(Box::new(|g, ctx| {
+                vec![Some(g.broadcast_zip(ctx.input(0), |gi, xi| {
+                    if xi > 0.0 {
+                        gi
+                    } else {
+                        0.0
+                    }
+                }))]
             })),
         )
     }
@@ -139,12 +190,13 @@ impl Tape {
     /// Logistic sigmoid `σ(x)`.
     pub fn sigmoid(&mut self, x: VarId) -> VarId {
         let value = self.value(x).sigmoid();
-        let y = value.clone();
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&y, |gi, yi| gi * yi * (1.0 - yi))]
+            Some(Box::new(|g, ctx| {
+                vec![Some(
+                    g.broadcast_zip(ctx.output(), |gi, yi| gi * yi * (1.0 - yi)),
+                )]
             })),
         )
     }
@@ -152,12 +204,13 @@ impl Tape {
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, x: VarId) -> VarId {
         let value = self.value(x).tanh();
-        let y = value.clone();
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![g.broadcast_zip(&y, |gi, yi| gi * (1.0 - yi * yi))]
+            Some(Box::new(|g, ctx| {
+                vec![Some(
+                    g.broadcast_zip(ctx.output(), |gi, yi| gi * (1.0 - yi * yi)),
+                )]
             })),
         )
     }
@@ -168,27 +221,30 @@ impl Tape {
 
     /// Matrix product `[M, K] × [K, N] → [M, N]`.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let va = self.value(a).clone();
-        let vb = self.value(b).clone();
-        let value = linalg::matmul(&va, &vb);
+        let value = linalg::matmul(self.value(a), self.value(b));
         self.push(
             value,
             vec![a, b],
-            Some(Box::new(move |g| {
+            Some(Box::new(|g, ctx| {
                 // ∂A = g·Bᵀ, ∂B = Aᵀ·g
-                vec![linalg::matmul_nt(g, &vb), linalg::matmul_tn(&va, g)]
+                vec![
+                    ctx.wants(0).then(|| linalg::matmul_nt(&g, ctx.input(1))),
+                    ctx.wants(1).then(|| linalg::matmul_tn(ctx.input(0), &g)),
+                ]
             })),
         )
     }
 
     /// Reshape (element count preserved).
     pub fn reshape(&mut self, x: VarId, dims: &[usize]) -> VarId {
-        let orig: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = self.value(x).reshape(dims);
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| vec![g.reshape(&orig)])),
+            Some(Box::new(|g, ctx| {
+                let dims = ctx.input(0).shape().dims().to_vec();
+                vec![Some(Tensor::from_vec(dims, g.into_vec()))]
+            })),
         )
     }
 
@@ -207,21 +263,20 @@ impl Tape {
     /// Panics if `parts` is empty or trailing dimensions disagree.
     pub fn concat_rows(&mut self, parts: &[VarId]) -> VarId {
         assert!(!parts.is_empty(), "concat_rows requires at least one part");
-        let tensors: Vec<Tensor> = parts.iter().map(|&p| self.value(p).clone()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
+        let refs: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
         let value = Tensor::concat_rows(&refs);
-        let row_counts: Vec<usize> = tensors.iter().map(|t| t.dim(0)).collect();
         self.push(
             value,
             parts.to_vec(),
-            Some(Box::new(move |g| {
-                let mut out = Vec::with_capacity(row_counts.len());
+            Some(Box::new(|g, ctx| {
                 let mut start = 0;
-                for &rows in &row_counts {
-                    out.push(g.slice_rows(start, start + rows));
-                    start += rows;
-                }
-                out
+                (0..ctx.arity())
+                    .map(|i| {
+                        let rows = ctx.input(i).dim(0);
+                        start += rows;
+                        ctx.wants(i).then(|| g.slice_rows(start - rows, start))
+                    })
+                    .collect()
             })),
         )
     }
@@ -232,12 +287,13 @@ impl Tape {
 
     /// Sum of all elements (scalar output).
     pub fn sum_all(&mut self, x: VarId) -> VarId {
-        let dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = Tensor::scalar(self.value(x).sum());
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| vec![Tensor::full(&dims, g.item())])),
+            Some(Box::new(|g, ctx| {
+                vec![Some(Tensor::full(ctx.input(0).shape().dims(), g.item()))]
+            })),
         )
     }
 
@@ -264,7 +320,7 @@ impl Tape {
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| vec![w.scale(g.item())])),
+            Some(Box::new(move |g, _| vec![Some(w.scale(g.item()))])),
         )
     }
 
@@ -291,8 +347,9 @@ impl Tape {
     /// one-hot targets (`[N, C]`): `(1/N) Σᵢ −log softmax(zᵢ)[tᵢ]`.
     ///
     /// The softmax and log are fused for numerical stability; the backward
-    /// pass is the classic `(softmax(z) − t)/N`. Targets are constants and
-    /// receive no gradient.
+    /// pass is the classic `(softmax(z) − t)/N`, with the softmax recomputed
+    /// from the logits on the tape. Targets are constants and receive no
+    /// gradient.
     ///
     /// Under [`Accum::F64`] the loss value is computed in one fused `f64`
     /// chain per row (shift, partition function, target dot and the batch
@@ -304,7 +361,7 @@ impl Tape {
     ///
     /// Panics on shape mismatch or non-rank-2 inputs.
     pub fn softmax_cross_entropy(&mut self, z: VarId, targets: &Tensor) -> VarId {
-        let logits = self.value(z).clone();
+        let logits = self.value(z);
         assert_eq!(logits.rank(), 2, "softmax_cross_entropy expects [N, C]");
         assert_eq!(
             logits.shape(),
@@ -312,20 +369,21 @@ impl Tape {
             "logits/targets shape mismatch"
         );
         let n = logits.dim(0) as f32;
-        let log_probs = logits.log_softmax_rows();
         let value = match accum() {
             // The Kahan arm shares the F32 expression: the `.sum()` inside
             // it samples the mode again and runs its compensated chain.
-            Accum::F32 | Accum::Kahan => Tensor::scalar(-log_probs.mul(targets).sum() / n),
-            Accum::F64 => Tensor::scalar(softmax_cross_entropy_f64(&logits, targets)),
+            Accum::F32 | Accum::Kahan => {
+                Tensor::scalar(-logits.log_softmax_rows().mul(targets).sum() / n)
+            }
+            Accum::F64 => Tensor::scalar(softmax_cross_entropy_f64(logits, targets)),
         };
-        let softmax = log_probs.exp();
         let targets = targets.clone();
         self.push(
             value,
             vec![z],
-            Some(Box::new(move |g| {
-                vec![softmax.sub(&targets).scale(g.item() / n)]
+            Some(Box::new(move |g, ctx| {
+                let softmax = ctx.input(0).log_softmax_rows().exp();
+                vec![Some(softmax.sub(&targets).scale(g.item() / n))]
             })),
         )
     }
@@ -343,7 +401,7 @@ impl Tape {
     ///
     /// Panics on shape mismatch.
     pub fn bce_with_logits(&mut self, z: VarId, targets: &Tensor) -> VarId {
-        let logits = self.value(z).clone();
+        let logits = self.value(z);
         assert_eq!(
             logits.shape(),
             targets.shape(),
@@ -354,13 +412,13 @@ impl Tape {
             zi.max(0.0) - zi * yi + (1.0 + (-zi.abs()).exp()).ln()
         });
         let value = Tensor::scalar(per_elem.sum() / n);
-        let sig = logits.sigmoid();
         let targets = targets.clone();
         self.push(
             value,
             vec![z],
-            Some(Box::new(move |g| {
-                vec![sig.sub(&targets).scale(g.item() / n)]
+            Some(Box::new(move |g, ctx| {
+                let sig = ctx.input(0).sigmoid();
+                vec![Some(sig.sub(&targets).scale(g.item() / n))]
             })),
         )
     }
@@ -372,43 +430,51 @@ impl Tape {
     /// 2-D convolution of `x` (`[N, C, H, W]`) with filters `w`
     /// (`[O, C, kh, kw]`).
     pub fn conv2d(&mut self, x: VarId, w: VarId, spec: ConvSpec) -> VarId {
-        // The fused backward regathers patches from the saved input, so the
-        // tape no longer keeps the (much larger) im2col matrix alive.
-        let input = self.value(x).clone();
-        let weight = self.value(w).clone();
-        let value = conv::conv2d(&input, &weight, spec);
+        // The fused backward halves regather patches from the input on the
+        // tape, so neither the input nor an im2col matrix is copied here.
+        let value = conv::conv2d(self.value(x), self.value(w), spec);
         self.push(
             value,
             vec![x, w],
-            Some(Box::new(move |g| {
-                let (gx, gw) = conv::conv2d_backward(g, &input, &weight, spec);
-                vec![gx, gw]
+            Some(Box::new(move |g, ctx| {
+                let (input, weight) = (ctx.input(0), ctx.input(1));
+                vec![
+                    ctx.wants(0)
+                        .then(|| conv::conv2d_backward_data(&g, input, weight, spec)),
+                    ctx.wants(1)
+                        .then(|| conv::conv2d_backward_weight(&g, input, weight, spec)),
+                ]
             })),
         )
     }
 
     /// Non-overlapping `k × k` max pooling.
     pub fn maxpool2d(&mut self, x: VarId, k: usize) -> VarId {
-        let input_dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let (value, indices) = conv::maxpool2d(self.value(x), k);
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![conv::maxpool2d_backward(g, &indices, &input_dims)]
+            Some(Box::new(move |g, ctx| {
+                vec![Some(conv::maxpool2d_backward(
+                    &g,
+                    &indices,
+                    ctx.input(0).shape().dims(),
+                ))]
             })),
         )
     }
 
     /// Global average pooling `[N, C, H, W] → [N, C]`.
     pub fn global_avg_pool(&mut self, x: VarId) -> VarId {
-        let input_dims: Vec<usize> = self.value(x).shape().dims().to_vec();
         let value = conv::global_avg_pool(self.value(x));
         self.push(
             value,
             vec![x],
-            Some(Box::new(move |g| {
-                vec![conv::global_avg_pool_backward(g, &input_dims)]
+            Some(Box::new(|g, ctx| {
+                vec![Some(conv::global_avg_pool_backward(
+                    &g,
+                    ctx.input(0).shape().dims(),
+                ))]
             })),
         )
     }
@@ -432,7 +498,7 @@ impl Tape {
         if p == 0.0 {
             // Identity; still record a node for uniform graph shape.
             let value = self.value(x).clone();
-            return self.push(value, vec![x], Some(Box::new(|g| vec![g.clone()])));
+            return self.push(value, vec![x], Some(Box::new(|g, _| vec![Some(g)])));
         }
         let keep = 1.0 - p;
         let mask = Tensor::from_fn(self.value(x).shape().dims(), |_| {
@@ -443,7 +509,11 @@ impl Tape {
             }
         });
         let value = self.value(x).mul(&mask);
-        self.push(value, vec![x], Some(Box::new(move |g| vec![g.mul(&mask)])))
+        self.push(
+            value,
+            vec![x],
+            Some(Box::new(move |g, _| vec![Some(g.mul(&mask))])),
+        )
     }
 }
 

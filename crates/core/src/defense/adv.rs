@@ -73,6 +73,7 @@ impl Defense for AdvTraining {
 
 #[cfg(test)]
 mod tests {
+    use super::super::cpu_time_ratio;
     use super::*;
     use gandef_attack::Bim;
     use gandef_data::{generate, DatasetKind, GenSpec};
@@ -137,18 +138,10 @@ mod tests {
             c.train_pgd_iters = 7;
             c
         };
-        let mut rng = Prng::new(0);
-        let mut a = Net::new(zoo::mlp(28 * 28, 48, 10), &mut rng);
-        let fast = AdvTraining::fgsm().train(&mut a, &ds, &c, &mut rng);
-        let mut rng = Prng::new(0);
-        let mut b = Net::new(zoo::mlp(28 * 28, 48, 10), &mut rng);
-        let slow = AdvTraining::pgd().train(&mut b, &ds, &c, &mut rng);
-        assert!(
-            slow.mean_epoch_seconds() > fast.mean_epoch_seconds() * 2.0,
-            "PGD-Adv {:.3}s vs FGSM-Adv {:.3}s",
-            slow.mean_epoch_seconds(),
-            fast.mean_epoch_seconds()
-        );
+        let ratio = cpu_time_ratio(&AdvTraining::pgd(), &AdvTraining::fgsm(), &ds, &c, |rng| {
+            Net::new(zoo::mlp(28 * 28, 48, 10), rng)
+        });
+        assert!(ratio > 2.0, "PGD-Adv takes {ratio:.2}x FGSM-Adv's CPU time");
     }
 
     #[test]

@@ -176,32 +176,33 @@ impl Step for Minimax<'_> {
         let targets = one_hot(&b.y, self.classes);
         let s = Tensor::from_fn(&[n, 1], |i| if i < half { 0.0 } else { 1.0 });
         let (net, disc, opt_d) = (b.net, &mut self.disc, &mut self.opt_d);
-
-        // Lines 3–8: discriminator iterations. The classifier is frozen by
-        // detaching z (line 6: "Fix Ω_C").
-        for _ in 0..cfg.disc_steps {
-            let mut sess =
-                Session::new_multi(&[&net.params, &disc.params], Mode::Train, b.rng.fork(0xD1));
-            let x = sess.input(mixed.clone());
-            let z = net.model.forward(&mut sess, x);
-            let z_frozen = sess.tape.detach(z);
-            let d_out = disc.model.forward(&mut sess, z_frozen);
-            // Line 7: update Ω_D to maximize log-likelihood of s given z ⇔
-            // minimize BCE.
-            let d_loss = sess.tape.bce_with_logits(d_out, &s);
-            let mut grads = sess.backward_all(d_loss);
-            // lint:allow(panic) — `backward_all` returns one grad set per
-            // store passed to `new_multi` (two here), so the pop cannot fail.
-            opt_d.step(&mut disc.params, &grads.pop().expect("disc grads"));
-        }
-
-        // Lines 9–12: classifier iteration. The discriminator is frozen by
-        // discarding its gradients (line 11: "Fix Ω_D"); the loop updates
-        // the classifier from this loss.
-        let mut sess =
-            Session::new_multi(&[&net.params, &disc.params], Mode::Train, b.rng.fork(0xD2));
+        // The rng forks keep Algorithm 1's order: one per discriminator
+        // iteration, then the classifier iteration's.
+        let disc_rngs: Vec<Prng> = (0..cfg.disc_steps).map(|_| b.rng.fork(0xD1)).collect();
+        // The classifier's forward pass is recorded once, on the classifier
+        // iteration's tape; the discriminator iterations read its logits.
+        let mut sess = Session::new(&net.params, Mode::Train, b.rng.fork(0xD2));
         let x = sess.input(mixed);
         let z = net.model.forward(&mut sess, x);
+
+        // Lines 3–8: discriminator iterations. The classifier is frozen
+        // (line 6: "Fix Ω_C"): each iteration trains on a detached copy of
+        // z, in a session of its own.
+        for rng in disc_rngs {
+            let mut d_sess = Session::new(&disc.params, Mode::Train, rng);
+            let z_frozen = d_sess.input(sess.tape.value(z).clone());
+            let d_out = disc.model.forward(&mut d_sess, z_frozen);
+            // Line 7: update Ω_D to maximize log-likelihood of s given z ⇔
+            // minimize BCE.
+            let d_loss = d_sess.tape.bce_with_logits(d_out, &s);
+            opt_d.step(&mut disc.params, &d_sess.backward(d_loss));
+        }
+
+        // Lines 9–12: classifier iteration against the updated
+        // discriminator, bound after the classifier so the loop's
+        // first-store backward leaves it frozen (line 11: "Fix Ω_D"): no
+        // discriminator gradient is computed.
+        sess.bind(&disc.params);
         let ce = sess.tape.softmax_cross_entropy(z, &targets);
         let d_out = disc.model.forward(&mut sess, z);
         let d_bce = sess.tape.bce_with_logits(d_out, &s);
@@ -225,6 +226,7 @@ impl Step for Minimax<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::cpu_time_ratio;
     use super::*;
     use gandef_data::{generate, DatasetKind, GenSpec};
     use gandef_nn::Classifier;
@@ -327,19 +329,16 @@ mod tests {
         cfg.epochs = 2;
         cfg.train_pgd_iters = 7;
 
-        let mut rng = Prng::new(0);
-        let mut a = mlp_net(&mut rng);
-        let zk = GanDef::zero_knowledge().train(&mut a, &ds, &cfg, &mut rng);
-
-        let mut rng = Prng::new(0);
-        let mut b = mlp_net(&mut rng);
-        let pg = GanDef::pgd().train(&mut b, &ds, &cfg, &mut rng);
-        assert_eq!(pg.defense, "PGD-GanDef");
+        let ratio = cpu_time_ratio(
+            &GanDef::pgd(),
+            &GanDef::zero_knowledge(),
+            &ds,
+            &cfg,
+            mlp_net,
+        );
         assert!(
-            pg.mean_epoch_seconds() > zk.mean_epoch_seconds() * 2.0,
-            "PGD-GanDef {:.3}s/epoch vs ZK-GanDef {:.3}s/epoch",
-            pg.mean_epoch_seconds(),
-            zk.mean_epoch_seconds()
+            ratio > 2.0,
+            "PGD-GanDef takes {ratio:.2}x ZK-GanDef's CPU time"
         );
     }
 

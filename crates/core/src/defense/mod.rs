@@ -315,6 +315,61 @@ pub(crate) fn training_pgd(cfg: &TrainConfig) -> Pgd {
     Pgd::new(b.eps, b.pgd_step, b.pgd_iters)
 }
 
+/// How many times slower training with `slow` is than with `fast`, in CPU
+/// seconds of the calling thread: the Figure 5 quantity. Each defense
+/// trains a fresh `net(rng)` from `Prng::new(0)` seven times, alternating
+/// with the other, under [`gandef_tensor::pool::with_serial`] so every
+/// kernel runs on the calling thread; the ratio is of the median runs.
+/// Unlike wall time, the thread's CPU time leaves out the time other
+/// tests, run in parallel, hold the CPUs; the median drops the runs that
+/// a cold heap's page faults or a test on the other core slowed most.
+#[cfg(test)]
+pub(crate) fn cpu_time_ratio(
+    slow: &dyn Defense,
+    fast: &dyn Defense,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    net: impl Fn(&mut Prng) -> Net,
+) -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let thread_cpu_s = || {
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a live, writable `timespec` (64-bit Linux layout)
+        // for the whole call, and the thread CPU-time clock always exists.
+        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+        ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+    };
+    let cpu_s = |defense: &dyn Defense| {
+        let mut rng = Prng::new(0);
+        let mut model = net(&mut rng);
+        let start = thread_cpu_s();
+        gandef_tensor::pool::with_serial(|| defense.train(&mut model, ds, cfg, &mut rng));
+        thread_cpu_s() - start
+    };
+    let (mut slow_s, mut fast_s) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        slow_s.push(cpu_s(slow));
+        fast_s.push(cpu_s(fast));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    median(slow_s) / median(fast_s)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

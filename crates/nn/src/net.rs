@@ -3,6 +3,7 @@
 
 use crate::layer::Sequential;
 use crate::params::{Mode, Params, Session};
+use gandef_autodiff::{Gradients, Tape, VarId};
 use gandef_tensor::rng::Prng;
 use gandef_tensor::Tensor;
 
@@ -108,6 +109,23 @@ impl Net {
     fn infer_chunk(&self, x: &Tensor) -> Tensor {
         self.model.infer(&self.params, x.clone())
     }
+
+    /// Records the scalar `head(C(x))` on an evaluation-mode tape and
+    /// sweeps it for the input leaf alone: the attacks read `∂x`, so no
+    /// weight gradient is computed. Returns the head's value, the input's
+    /// id and the sweep.
+    fn input_sweep(
+        &self,
+        x: &Tensor,
+        head: impl FnOnce(&mut Tape, VarId) -> VarId,
+    ) -> (f32, VarId, Gradients) {
+        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
+        let xv = sess.input(x.clone());
+        let z = self.model.forward(&mut sess, xv);
+        let out = head(&mut sess.tape, z);
+        let grads = sess.tape.backward_wrt(out, &[xv]);
+        (sess.tape.value(out).item(), xv, grads)
+    }
 }
 
 impl Classifier for Net {
@@ -120,33 +138,21 @@ impl Classifier for Net {
     }
 
     fn ce_input_grad(&self, x: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
-        let xv = sess.input(x.clone());
-        let z = self.model.forward(&mut sess, xv);
-        let loss = sess.tape.softmax_cross_entropy(z, targets);
-        let value = sess.tape.value(loss).item();
-        let grads = sess.tape.backward(loss);
-        let gx = grads
-            .get(xv)
-            // lint:allow(panic) — the loss is built from `xv` above, so the
-            // backward sweep always reaches the input leaf.
-            .expect("input must receive a gradient")
-            .clone();
+        let (value, xv, mut grads) =
+            self.input_sweep(x, |tape, z| tape.softmax_cross_entropy(z, targets));
+        // lint:allow(panic) — the loss is built from `xv`, so the backward
+        // sweep always reaches the input leaf.
+        let gx = grads.take(xv).expect("input must receive a gradient");
         (value, gx)
     }
 
     fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor {
-        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
-        let xv = sess.input(x.clone());
-        let z = self.model.forward(&mut sess, xv);
-        let s = sess.tape.dot_const(z, weights);
-        let grads = sess.tape.backward(s);
+        let (_, xv, mut grads) = self.input_sweep(x, |tape, z| tape.dot_const(z, weights));
         grads
-            .get(xv)
-            // lint:allow(panic) — the weighted score is built from `xv`
-            // above, so the backward sweep always reaches the input leaf.
+            .take(xv)
+            // lint:allow(panic) — the weighted score is built from `xv`, so
+            // the backward sweep always reaches the input leaf.
             .expect("input must receive a gradient")
-            .clone()
     }
 }
 
@@ -218,6 +224,18 @@ mod tests {
         assert!(loss > 0.0);
         let numeric = numeric_grad(|p| net.ce_input_grad(p, &targets).0, &x, 1e-3);
         assert!(grad.allclose(&numeric, 2e-2), "{grad:?} vs {numeric:?}");
+    }
+
+    #[test]
+    fn input_gradient_query_computes_no_parameter_gradient() {
+        let net = tiny_net(15);
+        let x = Prng::new(16).uniform_tensor(&[2, 4], -1.0, 1.0);
+        let targets = one_hot(&[0, 2], 3);
+        let (_, xv, grads) = net.input_sweep(&x, |t, z| t.softmax_cross_entropy(z, &targets));
+        // The input's gradient is the only one the sweep holds: none of
+        // the four parameter leaves got one.
+        assert_eq!(grads.len(), 1);
+        assert!(grads.get(xv).is_some());
     }
 
     #[test]

@@ -166,10 +166,10 @@ struct StoreBinding {
 /// [`Session::backward`], per-parameter gradients come back in store order,
 /// ready for an optimizer.
 ///
-/// A session can bind *several* parameter stores at once
-/// ([`Session::new_multi`]) — the ZK-GanDef minimax update records
-/// classifier and discriminator on one tape, backpropagates once, and then
-/// updates only one of the two networks (Algorithm 1 of the paper).
+/// A session can bind *several* parameter stores, at creation
+/// ([`Session::new_multi`]) or later ([`Session::bind`]). The ZK-GanDef
+/// classifier update records classifier and discriminator on one tape and
+/// backpropagates into the classifier alone (Algorithm 1 of the paper).
 pub struct Session {
     /// The autodiff tape recording this pass.
     pub tape: Tape,
@@ -195,21 +195,32 @@ impl Session {
     /// must be unique *across* stores (model namespaces — e.g. `conv1.w`
     /// vs `d1.w` — guarantee this for the paper's architectures).
     pub fn new_multi(stores: &[&Params], mode: Mode, rng: Prng) -> Self {
-        let mut tape = Tape::new();
-        let bindings = stores
-            .iter()
-            .map(|p| StoreBinding {
-                ids: p.values.iter().map(|v| tape.leaf(v.clone())).collect(),
-                index: p.index.clone(),
-            })
-            .collect();
-        Session {
-            tape,
+        let mut sess = Session {
+            tape: Tape::new(),
             mode,
             rng,
             accum: accum::accum(),
-            stores: bindings,
+            stores: Vec::with_capacity(stores.len()),
+        };
+        for p in stores {
+            sess.bind(p);
         }
+        sess
+    }
+
+    /// Binds one more parameter store onto the tape, after whatever the
+    /// session has recorded so far; its gradients come after the earlier
+    /// stores' in [`Session::backward_all`]. ZK-GanDef binds its
+    /// discriminator this way once the discriminator steps have updated
+    /// it, so that the classifier's forward pass is recorded only once per
+    /// batch. Names must be unique across stores, as for
+    /// [`Session::new_multi`].
+    pub fn bind(&mut self, params: &Params) {
+        let tape = &mut self.tape;
+        self.stores.push(StoreBinding {
+            ids: params.values.iter().map(|v| tape.leaf(v.clone())).collect(),
+            index: params.index.clone(),
+        });
     }
 
     /// Convenience constructor for evaluation passes (no dropout noise).
@@ -240,18 +251,25 @@ impl Session {
 
     /// Runs the backward sweep from `root` and extracts per-parameter
     /// gradients for the *first* bound store, in store order (`None` for
-    /// parameters the loss does not reach).
+    /// parameters the loss does not reach). No gradient is computed for
+    /// the other stores or for inputs.
     pub fn backward(&self, root: VarId) -> Vec<Option<Tensor>> {
-        self.backward_all(root).swap_remove(0)
+        self.backward_stores(root, 1).swap_remove(0)
     }
 
     /// Runs the backward sweep once and extracts per-parameter gradients
-    /// for *every* bound store, in binding order. The GAN trainers use this
-    /// to update one network while freezing the other (by discarding that
-    /// store's gradients).
+    /// for *every* bound store, in binding order. No gradient is computed
+    /// for inputs.
     pub fn backward_all(&self, root: VarId) -> Vec<Vec<Option<Tensor>>> {
-        let mut grads: Gradients = self.tape.backward(root);
-        self.stores
+        self.backward_stores(root, self.stores.len())
+    }
+
+    /// One sweep asking for the parameters of the first `count` stores.
+    fn backward_stores(&self, root: VarId, count: usize) -> Vec<Vec<Option<Tensor>>> {
+        let stores = &self.stores[..count];
+        let wrt: Vec<VarId> = stores.iter().flat_map(|s| s.ids.iter().copied()).collect();
+        let mut grads: Gradients = self.tape.backward_wrt(root, &wrt);
+        stores
             .iter()
             .map(|s| s.ids.iter().map(|&id| grads.take(id)).collect())
             .collect()

@@ -134,8 +134,9 @@ pub fn set_conv_impl(mode: ConvImpl) {
 
 /// Runs `f` with the convolution lowering forced to `mode` on the calling
 /// thread, restoring the previous state afterwards (also on panic). The
-/// lowering is consulted once per [`conv2d`] / [`conv2d_backward`] call,
-/// before any pool fan-out, so the override covers pooled execution.
+/// lowering is consulted once per [`conv2d`], [`conv2d_backward_data`] or
+/// [`conv2d_backward_weight`] call, before any pool fan-out, so the
+/// override covers pooled execution.
 pub fn with_conv_impl<T>(mode: ConvImpl, f: impl FnOnce() -> T) -> T {
     struct Restore(u8);
     impl Drop for Restore {
@@ -533,7 +534,9 @@ pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor
 
 /// Backward 2-D convolution. Given the upstream gradient
 /// `grad_out [N, O, Ho, Wo]`, the forward `input` and the filter bank,
-/// returns `(grad_input, grad_weight)`.
+/// returns `(grad_input, grad_weight)`: the results of
+/// [`conv2d_backward_data`] and [`conv2d_backward_weight`], which a caller
+/// that needs only one of the two calls directly.
 ///
 /// Dispatches on [`conv_impl`] like [`conv2d`]. The fused path computes
 /// `∂W` as one implicit GEMM contracting over all output pixels (patches
@@ -551,6 +554,64 @@ pub fn conv2d_backward(
     weight: &Tensor,
     spec: ConvSpec,
 ) -> (Tensor, Tensor) {
+    (
+        conv2d_backward_data(grad_out, input, weight, spec),
+        conv2d_backward_weight(grad_out, input, weight, spec),
+    )
+}
+
+/// The data half of [`conv2d_backward`]: `∂x [N, C, H, W]` alone.
+///
+/// # Panics
+///
+/// Panics on geometry mismatches.
+pub fn conv2d_backward_data(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: ConvSpec,
+) -> Tensor {
+    let g = backward_geom(grad_out, input, weight, spec);
+    let (n, o) = (input.dim(0), weight.dim(0));
+    match conv_impl() {
+        ConvImpl::Fused => data_grad_fused(accum::accum(), grad_out, weight, n, o, g),
+        ConvImpl::Im2col => backward_via_im2col(grad_out, input, weight, spec).0,
+    }
+}
+
+/// The weight half of [`conv2d_backward`]: `∂W [O, C, kh, kw]` alone.
+///
+/// # Panics
+///
+/// Panics on geometry mismatches.
+pub fn conv2d_backward_weight(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: ConvSpec,
+) -> Tensor {
+    let g = backward_geom(grad_out, input, weight, spec);
+    let o = weight.dim(0);
+    match conv_impl() {
+        ConvImpl::Fused => weight_grad_fused(accum::accum(), grad_out, input, o, g),
+        ConvImpl::Im2col => backward_via_im2col(grad_out, input, weight, spec).1,
+    }
+}
+
+/// Both halves through the reference lowering; each half keeps its own.
+fn backward_via_im2col(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight: &Tensor,
+    spec: ConvSpec,
+) -> (Tensor, Tensor) {
+    let cols = im2col(input, weight.dim(2), weight.dim(3), spec);
+    conv2d_backward_im2col(grad_out, &cols, weight, input.shape().dims(), spec)
+}
+
+/// Checks the backward operands against each other and returns their
+/// geometry.
+fn backward_geom(grad_out: &Tensor, input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Geom {
     assert_eq!(
         input.rank(),
         4,
@@ -576,19 +637,7 @@ pub fn conv2d_backward(
         &[n, o, g.ho, g.wo],
         "conv2d_backward gradient shape mismatch"
     );
-    match conv_impl() {
-        ConvImpl::Fused => {
-            // Sampled once, before any pool fan-out (see `conv2d_fused`).
-            let mode = accum::accum();
-            let grad_w = weight_grad_fused(mode, grad_out, input, o, g);
-            let grad_x = data_grad_fused(mode, grad_out, weight, n, o, g);
-            (grad_x, grad_w)
-        }
-        ConvImpl::Im2col => {
-            let cols = im2col(input, kh, kw, spec);
-            conv2d_backward_im2col(grad_out, &cols, weight, input.shape().dims(), spec)
-        }
-    }
+    g
 }
 
 /// Fused weight gradient: `∂W [O, C·kh·kw] = gᵀ × cols`, contracted over
@@ -1050,6 +1099,50 @@ mod tests {
                 "f64 weight gradient not bit-identical for {:?}",
                 (n, c, h, w, o, kh, kw, stride, pad)
             );
+        }
+    }
+
+    #[test]
+    fn backward_halves_match_the_whole_backward_bitwise() {
+        for &(n, c, h, w, o, kh, kw, stride, pad) in GEOMETRIES {
+            let spec = ConvSpec { stride, pad };
+            let x = pseudo(&[n, c, h, w], 3 * n + h);
+            let wt = pseudo(&[o, c, kh, kw], 5 * o + kw);
+            let gout = pseudo(&[n, o, spec.out_dim(h, kh), spec.out_dim(w, kw)], 11 * n);
+            let cols = im2col(&x, kh, kw, spec);
+            for conv in [ConvImpl::Fused, ConvImpl::Im2col] {
+                for mode in [Accum::F32, Accum::F64] {
+                    let run = |f: &dyn Fn() -> Tensor| with_accum(mode, || with_conv_impl(conv, f));
+                    let gx = run(&|| conv2d_backward_data(&gout, &x, &wt, spec));
+                    let gw = run(&|| conv2d_backward_weight(&gout, &x, &wt, spec));
+                    let (wx, ww) = with_accum(mode, || {
+                        with_conv_impl(conv, || conv2d_backward(&gout, &x, &wt, spec))
+                    });
+                    let at = (n, c, h, w, o, kh, kw, stride, pad, conv, mode);
+                    assert_eq!(gx.as_slice(), wx.as_slice(), "data half differs at {at:?}");
+                    assert_eq!(
+                        gw.as_slice(),
+                        ww.as_slice(),
+                        "weight half differs at {at:?}"
+                    );
+                    if mode == Accum::F64 {
+                        // And both halves agree with the im2col oracle bit for bit.
+                        let (ox, ow) = with_accum(mode, || {
+                            conv2d_backward_im2col(&gout, &cols, &wt, x.shape().dims(), spec)
+                        });
+                        assert_eq!(
+                            gx.as_slice(),
+                            ox.as_slice(),
+                            "data half vs oracle at {at:?}"
+                        );
+                        assert_eq!(
+                            gw.as_slice(),
+                            ow.as_slice(),
+                            "weight half vs oracle at {at:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

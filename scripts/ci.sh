@@ -12,10 +12,12 @@
 # the regeneration notes at those stages), a smoke run of the kernel
 # micro-benchmarks gated against the
 # checked-in BENCH_tensor.json (bench_diff; writes BENCH_smoke.json to a
-# temp dir so the checked-in file is never clobbered), a short perfbench
-# serve-mixed run whose output checks must pass (the served model
-# trains cleanly, every request resolves, the server's request count
-# matches, and every reply's argmax matches Sequential::infer), the numerics
+# temp dir so the checked-in file is never clobbered), one round each of
+# perfbench train-zk and train-pgd and a short serve-mixed run, whose
+# output checks must pass (training records finite losses with no run
+# event and clears the accuracy floor; the served model trains cleanly,
+# every request resolves, the server's request count matches, and every
+# reply's argmax matches Sequential::infer), the numerics
 # audit (the f64-accumulation kernel oracle must be byte-identical
 # across thread counts and FMA settings, and the f64 training trajectory
 # must be reproducible), the crash-consistency sweep (a training child is
@@ -35,10 +37,9 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# --workspace everywhere: the root manifest is also a package (the
-# façade), and a bare `cargo build`/`cargo test` would cover only it —
-# skipping every crate's unit tests and never producing the bench/lint
-# binaries the later stages invoke.
+# The root manifest is also a package (the façade); its default-members
+# make a bare `cargo build`/`cargo test` cover every crate as well, and
+# --workspace says so explicitly.
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -151,12 +152,21 @@ trap 'rm -rf "$out"' EXIT
 ./target/release/bench_diff --baseline BENCH_tensor.json --fresh "$out/BENCH_smoke.json" \
     --require matmul,conv2d,conv2d_im2col,conv2d_backward,elementwise_add,sum,sum_kahan
 
-echo "==> perfbench serve-mixed (serving output checks)"
-# Serving correctness: perfbench drives gandef-serve with the
-# clean/FGSM/PGD/DeepFool traffic mix over a trained LeNet and exits 1
-# when any output check fails. Serving speed is gated by BENCHMARK.json,
-# not here; the serve-path fault sweep and the hot-reload contracts run
-# as tests in tests/serve.rs.
+echo "==> perfbench train-zk, train-pgd, serve-mixed (output checks)"
+# The benchmark builds against the library crates by path, so these
+# stages catch a library change that stops it from building or passing
+# its output checks. Training: one round of ZK-GanDef and of PGD-Adv on
+# LeNet, every epoch recorded with a finite loss, no divergence event,
+# and test accuracy above the floor. Serving: perfbench drives
+# gandef-serve with the clean/FGSM/PGD/DeepFool traffic mix over a
+# trained LeNet and checks every reply's argmax against
+# Sequential::infer. Speed is gated by BENCHMARK.json, not here; the
+# serve-path fault sweep and the hot-reload contracts run as tests in
+# tests/serve.rs.
+for workload in train-zk train-pgd; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload serve-mixed --seed 1 --seconds 2 --trace 0
 
