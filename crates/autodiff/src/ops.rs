@@ -370,11 +370,7 @@ impl Tape {
         );
         let n = logits.dim(0) as f32;
         let value = match accum() {
-            // The Kahan arm shares the F32 expression: the `.sum()` inside
-            // it samples the mode again and runs its compensated chain.
-            Accum::F32 | Accum::Kahan => {
-                Tensor::scalar(-logits.log_softmax_rows().mul(targets).sum() / n)
-            }
+            Accum::F32 => Tensor::scalar(-logits.log_softmax_rows().mul(targets).sum() / n),
             Accum::F64 => Tensor::scalar(softmax_cross_entropy_f64(logits, targets)),
         };
         let targets = targets.clone();

@@ -1,9 +1,9 @@
 //! Tensor-kernel micro-benchmarks.
 //!
 //! Measures the hot kernels the training loop bottoms out in — the three
-//! GEMM variants, im2col convolution, and pooled elementwise/reduction
-//! loops — and writes `BENCH_tensor.json` so the perf trajectory is
-//! tracked in-repo PR over PR.
+//! GEMM variants, convolution (fused, plus the im2col oracle), and pooled
+//! elementwise/reduction loops — and writes `BENCH_tensor.json` so the
+//! perf trajectory is tracked in-repo PR over PR.
 //!
 //! Also times a faithful reimplementation of the pre-pool seed kernel
 //! (`ikj` loops with a zero-skip branch, fresh OS threads spawned per
@@ -136,9 +136,9 @@ fn main() {
     let spec = ConvSpec { stride: 1, pad: 1 };
     // 2 · N · O · Ho · Wo · C · kh · kw multiply-adds.
     let conv_flops = 2 * (batch as u64) * 16 * 32 * 32 * 3 * 9;
-    // `conv2d` is the default fused implicit-GEMM path; `conv2d_im2col`
-    // is the retained reference lowering (GANDEF_CONV=im2col), kept in
-    // the record so the fusion win stays visible PR over PR.
+    // `conv2d` is the fused implicit-GEMM path; `conv2d_im2col` is the
+    // im2col oracle function, kept in the record so the fusion win stays
+    // visible PR over PR.
     results.push(microbench::run(
         "conv2d",
         &format!("{batch}x3x32x32*16x3x3x3"),
@@ -192,17 +192,6 @@ fn main() {
         warmup,
         samples,
         || x.sum(),
-    ));
-    // The compensated tier (GANDEF_ACCUM=kahan): f32 partials plus a
-    // Neumaier correction term per window. Pinned in BENCH_tensor.json so
-    // the cost of the middle accuracy tier stays visible PR over PR.
-    results.push(microbench::run(
-        "sum_kahan",
-        &format!("{big}"),
-        big as u64,
-        warmup,
-        samples,
-        || with_accum(Accum::Kahan, || x.sum()),
     ));
     // `sum` always accumulates in f64 over fixed windows (lane-parallel
     // by default, strictly sequential under GANDEF_ACCUM=f64); the axis

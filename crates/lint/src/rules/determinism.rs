@@ -631,7 +631,7 @@ struct DetNode {
 ///    nondeterminism source; the witness source is cited `file:line:col`.
 /// 2. **order-sensitive under f32** — the fn transitively samples the
 ///    `Accum` mode: its result is bit-exact for a fixed mode, but the
-///    default-f32 chained accumulation differs from the f64/Kahan tiers.
+///    default-f32 chained accumulation differs from the f64 mode.
 /// 3. **bit-exact under f64** — everything else: the same inputs produce
 ///    the same bits in every accumulation mode and pool size.
 pub fn render_report(files: &[(String, String)]) -> String {
@@ -786,7 +786,7 @@ pub fn render_report(files: &[(String, String)]) -> String {
          * **order-sensitive under f32** — transitively samples the\n\
            `Accum` accumulation mode: bit-exact for any fixed mode (the\n\
            per-mode combine order is pinned), but the default-f32 chain\n\
-           differs numerically from the `f64`/`kahan` tiers.\n\
+           differs numerically from the `f64` mode.\n\
          * **bit-exact under f64** — same inputs, same bits, in every\n\
            accumulation mode and pool size.\n\n\
          Call edges resolve by name — deterministic, no type inference;\n\

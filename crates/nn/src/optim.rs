@@ -183,9 +183,7 @@ impl Optimizer for Adam {
             *m = m.scale(self.beta1).add(&g.scale(1.0 - self.beta1));
             *v = v.scale(self.beta2).add(&g.square().scale(1.0 - self.beta2));
             let update = match mode {
-                // The update is element-wise (no reduction to compensate),
-                // so Kahan shares the f32 chain.
-                Accum::F32 | Accum::Kahan => Tensor::from_fn(g.shape().dims(), |j| {
+                Accum::F32 => Tensor::from_fn(g.shape().dims(), |j| {
                     let mh = m.as_slice()[j] / bc1;
                     let vh = v.as_slice()[j] / bc2;
                     mh / (vh.sqrt() + self.eps)

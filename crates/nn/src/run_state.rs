@@ -91,7 +91,6 @@ impl RunState {
             None => 0,
             Some(Accum::F32) => 1,
             Some(Accum::F64) => 2,
-            Some(Accum::Kahan) => 3,
         });
         for w in self.rng {
             enc.put_u64(w);
@@ -176,7 +175,6 @@ impl RunState {
             0 => None,
             1 => Some(Accum::F32),
             2 => Some(Accum::F64),
-            3 => Some(Accum::Kahan),
             other => {
                 return Err(CheckpointError::Format(format!(
                     "unknown accumulation tag {other}"
@@ -490,11 +488,29 @@ mod tests {
 
     #[test]
     fn accum_tag_roundtrips_every_mode() {
-        for accum in [None, Some(Accum::F32), Some(Accum::F64), Some(Accum::Kahan)] {
+        for accum in [None, Some(Accum::F32), Some(Accum::F64)] {
             let mut state = sample_state();
             state.accum = accum;
             let back = RunState::from_bytes(&state.to_bytes().unwrap()).unwrap();
             assert_eq!(back.accum, accum);
+        }
+    }
+
+    #[test]
+    fn retired_accum_tag_is_a_format_error() {
+        // Tag 3 was the compensated-f32 mode, which no longer exists: a run
+        // state carrying it must fail loudly rather than resume as f32.
+        let mut bytes = sample_state().to_bytes().unwrap();
+        let tag = MAGIC.len() + 4 + 8; // magic | version u32 | epoch u64
+        bytes[tag..tag + 4].copy_from_slice(&3u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        match RunState::from_bytes(&bytes) {
+            Err(CheckpointError::Format(msg)) => {
+                assert!(msg.contains("unknown accumulation tag 3"), "{msg}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
         }
     }
 

@@ -82,7 +82,7 @@
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -101,56 +101,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Default and env-overridable batch-size knob (`GANDEF_SERVE_BATCH`).
-fn default_max_batch() -> usize {
-    /// Parsed `GANDEF_SERVE_BATCH` value, read once per process.
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("GANDEF_SERVE_BATCH")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(32)
-    })
-}
-
-/// Default and env-overridable wait-deadline knob (`GANDEF_SERVE_WAIT_US`,
-/// microseconds).
-fn default_max_wait() -> Duration {
-    /// Parsed `GANDEF_SERVE_WAIT_US` value, read once per process.
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    let us = *CACHE.get_or_init(|| {
-        std::env::var("GANDEF_SERVE_WAIT_US")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(2_000)
-    });
-    Duration::from_micros(us)
-}
-
-/// Default and env-overridable request deadline (`GANDEF_SERVE_DEADLINE_US`,
-/// microseconds; 0 or unset means "no deadline").
-fn default_deadline() -> Option<Duration> {
-    /// Parsed `GANDEF_SERVE_DEADLINE_US` value, read once per process.
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    let us = *CACHE.get_or_init(|| {
-        std::env::var("GANDEF_SERVE_DEADLINE_US")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0)
-    });
-    (us > 0).then(|| Duration::from_micros(us))
-}
-
 /// Tuning for the dynamic batcher and the hot-reload watcher.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Maximum requests fused into one forward pass. A full batch is
-    /// dispatched immediately. Default: `GANDEF_SERVE_BATCH` or 32.
+    /// dispatched immediately. Default: 32.
     pub max_batch: usize,
     /// Deadline for a partial batch: once the *oldest* queued request has
-    /// waited this long, whatever is queued is dispatched. Default:
-    /// `GANDEF_SERVE_WAIT_US` microseconds, or 2 ms.
+    /// waited this long, whatever is queued is dispatched. Default: 2 ms.
     pub max_wait: Duration,
     /// Backpressure bound: [`Server::submit`] returns
     /// [`ServeError::QueueFull`] once this many requests are waiting.
@@ -164,8 +122,7 @@ pub struct ServeConfig {
     /// [`Server::submit`] accepts the request: a request the batcher has
     /// not *dispatched* by then is expired with
     /// [`ServeError::DeadlineExceeded`] instead of served late. `None`
-    /// means requests wait indefinitely. Default:
-    /// `GANDEF_SERVE_DEADLINE_US` microseconds, or `None`.
+    /// means requests wait indefinitely (the default).
     pub deadline: Option<Duration>,
     /// Accumulation mode forced on the batcher thread for every forward
     /// pass. `Some(Accum::F64)` makes batched output bit-identical to
@@ -178,11 +135,11 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            max_batch: default_max_batch(),
-            max_wait: default_max_wait(),
+            max_batch: 32,
+            max_wait: Duration::from_millis(2),
             queue_cap: 4096,
             shed_threshold: None,
-            deadline: default_deadline(),
+            deadline: None,
             accum: None,
             reload_poll: Duration::from_millis(50),
         }

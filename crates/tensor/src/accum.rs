@@ -3,17 +3,19 @@
 //! All tensors store `f32`, but long reductions — GEMM inner products,
 //! axis sums, softmax partition functions — lose bits when partial sums
 //! are rounded back to `f32` at every step, and the rounding depends on
-//! the summation order the kernel happens to use. [`Accum::F64`] selects
-//! `f32 in → f64 acc → f32 out` variants of those kernels: each output
-//! element is produced by one exactly-rounded `f64` chain (no FMA, no
-//! order-dependent partials), so results are bit-identical across thread
-//! counts, SIMD dispatch and tiling choices.
+//! the summation order the kernel happens to use. There are exactly two
+//! modes, one per purpose: [`Accum::F32`] for speed (the default, and the
+//! precision the paper trains in) and [`Accum::F64`] for the bit-exact
+//! oracles. `F64` selects `f32 in → f64 acc → f32 out` variants of the
+//! kernels: each output element is produced by one exactly-rounded `f64`
+//! chain (no FMA, no order-dependent partials), so results are
+//! bit-identical across thread counts, SIMD dispatch and tiling choices.
 //!
 //! The mode is process-global with a thread-local scoped override:
 //!
 //! * [`set_accum`] sets the global default (also settable via the
-//!   `GANDEF_ACCUM=f64` / `GANDEF_ACCUM=kahan` environment variable,
-//!   read once on first use).
+//!   `GANDEF_ACCUM=f64` environment variable, read once on first use; an
+//!   unrecognized value prints one warning to stderr and means `f32`).
 //! * [`with_accum`] overrides the mode for the calling thread for the
 //!   duration of a closure — kernels sample the mode *once on the calling
 //!   thread* before fanning out to pool workers, so the override applies
@@ -33,21 +35,13 @@ pub enum Accum {
     /// but bit-identical across thread counts and `GANDEF_NO_FMA`
     /// settings — the mode for numerics audits and stability studies.
     F64,
-    /// Neumaier-compensated `f32` partials (Kahan summation with the
-    /// improved low-order correction). Each partial carries an `f32`
-    /// running sum plus an `f32` compensation term, recovering most of
-    /// the bits an uncompensated `f32` chain loses without paying the
-    /// `f64` bandwidth cost. Like [`Accum::F64`], the kernels use a
-    /// fixed sequential order and no FMA, so results are bit-identical
-    /// across thread counts and SIMD dispatch.
-    Kahan,
 }
 
-// 0 = unset (probe GANDEF_ACCUM on first read), 1 = F32, 2 = F64, 3 = Kahan.
+// 0 = unset (probe GANDEF_ACCUM on first read), 1 = F32, 2 = F64.
 static GLOBAL_ACCUM: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
-    // 0 = no override, 1 = F32, 2 = F64, 3 = Kahan.
+    // 0 = no override, 1 = F32, 2 = F64.
     static LOCAL_ACCUM: Cell<u8> = const { Cell::new(0) };
 }
 
@@ -55,15 +49,24 @@ fn encode(mode: Accum) -> u8 {
     match mode {
         Accum::F32 => 1,
         Accum::F64 => 2,
-        Accum::Kahan => 3,
     }
 }
 
 fn decode(raw: u8) -> Accum {
     match raw {
         2 => Accum::F64,
-        3 => Accum::Kahan,
         _ => Accum::F32,
+    }
+}
+
+/// Parses a `GANDEF_ACCUM` value (case-insensitive `f32` or `f64`).
+fn parse_env(value: &str) -> Option<Accum> {
+    if value.eq_ignore_ascii_case("f32") {
+        Some(Accum::F32)
+    } else if value.eq_ignore_ascii_case("f64") {
+        Some(Accum::F64)
+    } else {
+        None
     }
 }
 
@@ -78,9 +81,15 @@ fn global_accum() -> Accum {
     // race between first readers is benign — both sides write the same
     // env-derived value.
     let from_env = match std::env::var("GANDEF_ACCUM") {
-        Ok(v) if v.eq_ignore_ascii_case("f64") => Accum::F64,
-        Ok(v) if v.eq_ignore_ascii_case("kahan") => Accum::Kahan,
-        _ => Accum::F32,
+        Ok(v) => parse_env(&v).unwrap_or_else(|| {
+            // A typo must not silently turn an f64 oracle run into an f32
+            // one without a trace.
+            eprintln!(
+                "GANDEF_ACCUM: ignoring unrecognized value {v:?} (accepted: f32, f64); using f32"
+            );
+            Accum::F32
+        }),
+        Err(_) => Accum::F32,
     };
     // lint:allow(atomics) — same idempotent once-cache write as above.
     GLOBAL_ACCUM.store(encode(from_env), Ordering::Relaxed);
@@ -136,6 +145,15 @@ mod tests {
         let seen = with_accum(Accum::F32, || with_accum(Accum::F64, accum));
         assert_eq!(seen, Accum::F64);
         assert_eq!(accum(), outer);
+    }
+
+    #[test]
+    fn env_value_accepts_f32_and_f64_only() {
+        assert_eq!(parse_env("f32"), Some(Accum::F32));
+        assert_eq!(parse_env("F64"), Some(Accum::F64));
+        assert_eq!(parse_env("f16"), None);
+        assert_eq!(parse_env("f46"), None);
+        assert_eq!(parse_env(""), None);
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //! become the contraction axis) and fuses the col2im adjoint into a
 //! per-example tile-then-scatter for the data gradient.
 //!
-//! The classic im2col-then-GEMM lowering is retained behind the
-//! `GANDEF_CONV=im2col` knob (see [`conv_impl`]) as the reference
-//! implementation and equality oracle: under [`crate::accum::Accum::F64`]
-//! both paths compute the identical exactly-rounded `k`-ordered chain per
-//! output element, so they agree bit-for-bit.
+//! The fused path is the one production lowering. The classic
+//! im2col-then-GEMM lowering survives only as plain oracle functions
+//! ([`im2col`], [`conv2d_im2col`], [`conv2d_backward_im2col`]) that tests
+//! and the numerics audit call by name: under [`crate::accum::Accum::F64`]
+//! both lowerings compute the identical exactly-rounded `k`-ordered chain
+//! per output element, so they agree bit-for-bit.
 
-use crate::accum::{self, Accum};
+use crate::accum;
 use crate::linalg::{self, MatRef, PackA, PackB, MR, NR};
 use crate::{pool, Shape, Tensor};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Geometry of a 2-D convolution: square stride and zero padding.
 ///
@@ -59,95 +58,6 @@ impl ConvSpec {
         assert!(padded >= k, "kernel {k} larger than padded input {padded}");
         (padded - k) / self.stride + 1
     }
-}
-
-/// Which convolution lowering [`conv2d`] / [`conv2d_backward`] use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConvImpl {
-    /// Fused implicit GEMM (the default): patches are gathered straight
-    /// into the microkernel's B-panels, never materializing im2col.
-    Fused,
-    /// Reference im2col-then-GEMM lowering, kept as the equality oracle.
-    Im2col,
-}
-
-// 0 = unset (probe GANDEF_CONV on first read), 1 = Fused, 2 = Im2col.
-static GLOBAL_CONV: AtomicU8 = AtomicU8::new(0);
-
-thread_local! {
-    // 0 = no override, 1 = Fused, 2 = Im2col.
-    static LOCAL_CONV: Cell<u8> = const { Cell::new(0) };
-}
-
-fn encode_impl(mode: ConvImpl) -> u8 {
-    match mode {
-        ConvImpl::Fused => 1,
-        ConvImpl::Im2col => 2,
-    }
-}
-
-fn decode_impl(raw: u8) -> ConvImpl {
-    if raw == 2 {
-        ConvImpl::Im2col
-    } else {
-        ConvImpl::Fused
-    }
-}
-
-fn global_conv_impl() -> ConvImpl {
-    // lint:allow(atomics) — idempotent once-cache: every writer stores
-    // the same env-derived value, so readers seeing 0 just recompute it.
-    let raw = GLOBAL_CONV.load(Ordering::Relaxed);
-    if raw != 0 {
-        return decode_impl(raw);
-    }
-    // First read: honor the environment knob, then cache the answer. A
-    // race between first readers is benign — both sides write the same
-    // env-derived value.
-    let from_env = match std::env::var("GANDEF_CONV") {
-        Ok(v) if v.eq_ignore_ascii_case("im2col") => ConvImpl::Im2col,
-        _ => ConvImpl::Fused,
-    };
-    // lint:allow(atomics) — same idempotent once-cache write as above.
-    GLOBAL_CONV.store(encode_impl(from_env), Ordering::Relaxed);
-    from_env
-}
-
-/// Returns the convolution lowering in effect on the calling thread: the
-/// [`with_conv_impl`] override if one is active, otherwise the global
-/// default (`GANDEF_CONV=im2col` selects the reference path).
-pub fn conv_impl() -> ConvImpl {
-    let local = LOCAL_CONV.with(|c| c.get());
-    if local != 0 {
-        decode_impl(local)
-    } else {
-        global_conv_impl()
-    }
-}
-
-/// Sets the process-global convolution lowering, overriding `GANDEF_CONV`.
-pub fn set_conv_impl(mode: ConvImpl) {
-    // lint:allow(atomics) — callers that need the new lowering visible to
-    // worker threads already synchronize via the pool's job hand-off.
-    GLOBAL_CONV.store(encode_impl(mode), Ordering::Relaxed);
-}
-
-/// Runs `f` with the convolution lowering forced to `mode` on the calling
-/// thread, restoring the previous state afterwards (also on panic). The
-/// lowering is consulted once per [`conv2d`], [`conv2d_backward_data`] or
-/// [`conv2d_backward_weight`] call, before any pool fan-out, so the
-/// override covers pooled execution.
-pub fn with_conv_impl<T>(mode: ConvImpl, f: impl FnOnce() -> T) -> T {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            LOCAL_CONV.with(|c| c.set(self.0));
-        }
-    }
-    let prev = LOCAL_CONV.with(|c| c.get());
-    let _restore = Restore(prev);
-    LOCAL_CONV.with(|c| c.set(encode_impl(mode)));
-    f()
 }
 
 /// Per-call convolution geometry, shared by the packers and the scatter.
@@ -445,10 +355,11 @@ fn scatter_patch_rows(rows: &[f32], block: &mut [f32], g: Geom) {
 /// Forward 2-D convolution: `input [N, C, H, W]` with filters
 /// `weight [O, C, kh, kw]` producing `[N, O, Ho, Wo]`.
 ///
-/// Dispatches on [`conv_impl`]: the default fused implicit-GEMM path
-/// gathers patches directly into GEMM panels; `GANDEF_CONV=im2col` selects
-/// the reference lowering. Under [`crate::accum::Accum::F64`] the two
-/// paths are bit-identical.
+/// Fused implicit GEMM: one `[O, C·kh·kw] × [C·kh·kw, Ho·Wo]` GEMM per
+/// example, with the patch operand gathered on the fly by [`PatchColsB`].
+/// The per-example output block is `[O, Ho, Wo]` row-major — already
+/// NCHW — so there is no transpose either. Under
+/// [`crate::accum::Accum::F64`] it is bit-identical to [`conv2d_im2col`].
 ///
 /// # Panics
 ///
@@ -463,17 +374,6 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
         input.shape(),
         weight.shape()
     );
-    match conv_impl() {
-        ConvImpl::Fused => conv2d_fused(input, weight, spec),
-        ConvImpl::Im2col => conv2d_im2col(input, weight, spec).0,
-    }
-}
-
-/// Fused implicit-GEMM forward pass: one `[O, C·kh·kw] × [C·kh·kw, Ho·Wo]`
-/// GEMM per example, with the patch operand gathered on the fly by
-/// [`PatchColsB`]. The per-example output block is `[O, Ho, Wo]` row-major
-/// — already NCHW — so there is no transpose either.
-fn conv2d_fused(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     let (n, c, h, w) = (input.dim(0), input.dim(1), input.dim(2), input.dim(3));
     let (o, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
     let g = Geom::new(c, h, w, kh, kw, spec);
@@ -538,12 +438,9 @@ pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor
 /// [`conv2d_backward_data`] and [`conv2d_backward_weight`], which a caller
 /// that needs only one of the two calls directly.
 ///
-/// Dispatches on [`conv_impl`] like [`conv2d`]. The fused path computes
-/// `∂W` as one implicit GEMM contracting over all output pixels (patches
-/// gathered by [`PatchRowsB`], the transposed gradient by [`GradRowsA`])
-/// and `∂x` as a per-example GEMM-then-scatter, never materializing the
-/// column matrix or its gradient. Under [`crate::accum::Accum::F64`] both
-/// paths are bit-identical.
+/// Neither half materializes the column matrix or its gradient. Under
+/// [`crate::accum::Accum::F64`] the pair is bit-identical to
+/// [`conv2d_backward_im2col`].
 ///
 /// # Panics
 ///
@@ -562,6 +459,12 @@ pub fn conv2d_backward(
 
 /// The data half of [`conv2d_backward`]: `∂x [N, C, H, W]` alone.
 ///
+/// Per example, `∂cols_b = g_b × W` is tiled into a scratch buffer by the
+/// packed kernel and immediately scattered col2im-style into that
+/// example's `[C, H, W]` gradient block — the full `[N·Ho·Wo, C·kh·kw]`
+/// gradient matrix never exists. Examples parallelize exactly like
+/// [`col2im`], with a fixed within-example order.
+///
 /// # Panics
 ///
 /// Panics on geometry mismatches.
@@ -573,13 +476,47 @@ pub fn conv2d_backward_data(
 ) -> Tensor {
     let g = backward_geom(grad_out, input, weight, spec);
     let (n, o) = (input.dim(0), weight.dim(0));
-    match conv_impl() {
-        ConvImpl::Fused => data_grad_fused(accum::accum(), grad_out, weight, n, o, g),
-        ConvImpl::Im2col => backward_via_im2col(grad_out, input, weight, spec).0,
-    }
+    let mode = accum::accum();
+    let (pixels, patch) = (g.pixels(), g.patch());
+    let gdat = grad_out.as_slice();
+    let w_mat = MatRef {
+        data: weight.as_slice(),
+        rs: patch,
+        cs: 1,
+    };
+    let plane = g.c * g.h * g.w;
+    let mut out = vec![0.0f32; n * plane];
+    pool::parallel_for_mut(&mut out, plane, 1, |b0, chunk| {
+        // Per-task scratch for one example's ∂cols rows, reused across the
+        // examples this task owns.
+        let mut rows = vec![0.0f32; pixels * patch];
+        for (bi, block) in chunk.chunks_mut(plane).enumerate() {
+            let b = b0 + bi;
+            rows.fill(0.0);
+            // The example's gradient as a strided [Ho·Wo, O] view: NCHW
+            // means pixel stride 1, channel stride Ho·Wo.
+            let gb = MatRef {
+                // lint:allow(shape) — `backward_geom` asserted `grad_out`
+                // is `[N, O, Ho, Wo]`, so each example's block is in bounds.
+                data: &gdat[b * o * pixels..(b + 1) * o * pixels],
+                rs: 1,
+                cs: pixels,
+            };
+            linalg::gemm_panels(mode, pixels, o, patch, &gb, &w_mat, &mut rows);
+            scatter_patch_rows(&rows, block, g);
+        }
+    });
+    Tensor::from_vec(vec![n, g.c, g.h, g.w], out)
 }
 
 /// The weight half of [`conv2d_backward`]: `∂W [O, C, kh, kw]` alone.
+///
+/// One implicit GEMM `∂W [O, C·kh·kw] = gᵀ × cols` contracted over all
+/// `N·Ho·Wo` output pixels, with the transposed gradient gathered by
+/// [`GradRowsA`] and the patches by [`PatchRowsB`]. The f64-mode chain
+/// runs in global pixel order across `KC` blocks, exactly the order
+/// `matmul_tn` uses on the materialized matrices, which is what makes it
+/// bit-identical to the im2col oracle under [`crate::accum::Accum::F64`].
 ///
 /// # Panics
 ///
@@ -591,22 +528,20 @@ pub fn conv2d_backward_weight(
     spec: ConvSpec,
 ) -> Tensor {
     let g = backward_geom(grad_out, input, weight, spec);
-    let o = weight.dim(0);
-    match conv_impl() {
-        ConvImpl::Fused => weight_grad_fused(accum::accum(), grad_out, input, o, g),
-        ConvImpl::Im2col => backward_via_im2col(grad_out, input, weight, spec).1,
-    }
-}
-
-/// Both halves through the reference lowering; each half keeps its own.
-fn backward_via_im2col(
-    grad_out: &Tensor,
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-) -> (Tensor, Tensor) {
-    let cols = im2col(input, weight.dim(2), weight.dim(3), spec);
-    conv2d_backward_im2col(grad_out, &cols, weight, input.shape().dims(), spec)
+    let (n, o) = (input.dim(0), weight.dim(0));
+    let a = GradRowsA {
+        grad: grad_out.as_slice(),
+        o,
+        pixels: g.pixels(),
+    };
+    let b = PatchRowsB {
+        src: input.as_slice(),
+        g,
+    };
+    let mut out = vec![0.0f32; o * g.patch()];
+    let mode = accum::accum();
+    linalg::gemm_panels(mode, o, n * g.pixels(), g.patch(), &a, &b, &mut out);
+    Tensor::from_vec(vec![o, g.c, g.kh, g.kw], out)
 }
 
 /// Checks the backward operands against each other and returns their
@@ -640,75 +575,10 @@ fn backward_geom(grad_out: &Tensor, input: &Tensor, weight: &Tensor, spec: ConvS
     g
 }
 
-/// Fused weight gradient: `∂W [O, C·kh·kw] = gᵀ × cols`, contracted over
-/// all `N·Ho·Wo` output pixels with both operands gathered implicitly.
-/// The f64-mode chain runs in global pixel order across `KC` blocks,
-/// exactly the order `matmul_tn` uses on the materialized matrices, which
-/// is what makes the fused and im2col paths bit-identical under
-/// [`Accum::F64`].
-fn weight_grad_fused(mode: Accum, grad_out: &Tensor, input: &Tensor, o: usize, g: Geom) -> Tensor {
-    let n = input.dim(0);
-    let a = GradRowsA {
-        grad: grad_out.as_slice(),
-        o,
-        pixels: g.pixels(),
-    };
-    let b = PatchRowsB {
-        src: input.as_slice(),
-        g,
-    };
-    let mut out = vec![0.0f32; o * g.patch()];
-    linalg::gemm_panels(mode, o, n * g.pixels(), g.patch(), &a, &b, &mut out);
-    Tensor::from_vec(vec![o, g.c, g.kh, g.kw], out)
-}
-
-/// Fused data gradient: per example, `∂cols_b = g_b × W` is tiled into a
-/// scratch buffer by the packed kernel and immediately scattered col2im-
-/// style into that example's `[C, H, W]` gradient block — the full
-/// `[N·Ho·Wo, C·kh·kw]` gradient matrix never exists. Examples parallelize
-/// exactly like [`col2im`], with a fixed within-example order.
-fn data_grad_fused(
-    mode: Accum,
-    grad_out: &Tensor,
-    weight: &Tensor,
-    n: usize,
-    o: usize,
-    g: Geom,
-) -> Tensor {
-    let (pixels, patch) = (g.pixels(), g.patch());
-    let gdat = grad_out.as_slice();
-    let w_mat = MatRef {
-        data: weight.as_slice(),
-        rs: patch,
-        cs: 1,
-    };
-    let plane = g.c * g.h * g.w;
-    let mut out = vec![0.0f32; n * plane];
-    pool::parallel_for_mut(&mut out, plane, 1, |b0, chunk| {
-        // Per-task scratch for one example's ∂cols rows, reused across the
-        // examples this task owns.
-        let mut rows = vec![0.0f32; pixels * patch];
-        for (bi, block) in chunk.chunks_mut(plane).enumerate() {
-            let b = b0 + bi;
-            rows.fill(0.0);
-            // The example's gradient as a strided [Ho·Wo, O] view: NCHW
-            // means pixel stride 1, channel stride Ho·Wo.
-            let gb = MatRef {
-                data: &gdat[b * o * pixels..(b + 1) * o * pixels],
-                rs: 1,
-                cs: pixels,
-            };
-            linalg::gemm_panels(mode, pixels, o, patch, &gb, &w_mat, &mut rows);
-            scatter_patch_rows(&rows, block, g);
-        }
-    });
-    Tensor::from_vec(vec![n, g.c, g.h, g.w], out)
-}
-
 /// Reference im2col backward pass: given the saved `cols` from
 /// [`conv2d_im2col`], computes `∂W = gᵀ·cols` and scatters
-/// `∂cols = g·W` back through [`col2im`]. Kept as the equality oracle for
-/// the fused backward path.
+/// `∂cols = g·W` back through [`col2im`]. The equality oracle for
+/// [`conv2d_backward_data`] and [`conv2d_backward_weight`].
 ///
 /// # Panics
 ///
@@ -867,26 +737,6 @@ pub fn global_avg_pool(input: &Tensor) -> Tensor {
                 *o = (plane.iter().map(|&v| v as f64).sum::<f64>() * inv) as f32;
             }
         }
-        crate::accum::Accum::Kahan => {
-            // Neumaier-compensated f32 plane sum; the correction and the
-            // division are applied in f64 so only one rounding remains.
-            let inv = 1.0 / (h * w) as f64;
-            for (bc, o) in out.iter_mut().enumerate() {
-                let plane = &src[bc * h * w..(bc + 1) * h * w];
-                let mut sum = 0.0f32;
-                let mut comp = 0.0f32;
-                for &v in plane {
-                    let t = sum + v;
-                    if sum.abs() >= v.abs() {
-                        comp += (sum - t) + v;
-                    } else {
-                        comp += (v - t) + sum;
-                    }
-                    sum = t;
-                }
-                *o = (((sum as f64) + (comp as f64)) * inv) as f32;
-            }
-        }
     }
     Tensor::from_vec(vec![n, c], out)
 }
@@ -993,19 +843,6 @@ mod tests {
     }
 
     #[test]
-    fn conv_impl_override_scopes_and_restores() {
-        let outer = conv_impl();
-        let seen = with_conv_impl(ConvImpl::Im2col, conv_impl);
-        assert_eq!(seen, ConvImpl::Im2col);
-        assert_eq!(conv_impl(), outer);
-        let seen = with_conv_impl(ConvImpl::Fused, || {
-            with_conv_impl(ConvImpl::Im2col, conv_impl)
-        });
-        assert_eq!(seen, ConvImpl::Im2col);
-        assert_eq!(conv_impl(), outer);
-    }
-
-    #[test]
     fn conv_matches_naive_no_pad() {
         let input = Tensor::from_fn(&[2, 3, 6, 6], |i| ((i * 7 % 23) as f32 - 11.0) / 23.0);
         let weight = Tensor::from_fn(&[4, 3, 3, 3], |i| ((i * 5 % 17) as f32 - 8.0) / 17.0);
@@ -1041,7 +878,7 @@ mod tests {
             let spec = ConvSpec { stride, pad };
             let x = pseudo(&[n, c, h, w], n + h + pad);
             let wt = pseudo(&[o, c, kh, kw], o + kw + stride);
-            let fused = with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec));
+            let fused = conv2d(&x, &wt, spec);
             let (oracle, _) = conv2d_im2col(&x, &wt, spec);
             assert_eq!(fused.shape(), oracle.shape());
             assert!(
@@ -1051,9 +888,7 @@ mod tests {
             );
             // Under f64 accumulation both paths compute the identical
             // exactly-rounded k-ordered chain per element: bit-equal.
-            let fused64 = with_accum(Accum::F64, || {
-                with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec))
-            });
+            let fused64 = with_accum(Accum::F64, || conv2d(&x, &wt, spec));
             let oracle64 = with_accum(Accum::F64, || conv2d_im2col(&x, &wt, spec).0);
             assert_eq!(
                 fused64.as_slice(),
@@ -1070,23 +905,21 @@ mod tests {
             let spec = ConvSpec { stride, pad };
             let x = pseudo(&[n, c, h, w], 3 * n + w);
             let wt = pseudo(&[o, c, kh, kw], 5 * o + kh);
-            let out = with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec));
+            let out = conv2d(&x, &wt, spec);
             let gout = pseudo(out.shape().dims(), 7 * n + stride);
-            let (fx, fw) =
-                with_conv_impl(ConvImpl::Fused, || conv2d_backward(&gout, &x, &wt, spec));
-            let (ox, ow) =
-                with_conv_impl(ConvImpl::Im2col, || conv2d_backward(&gout, &x, &wt, spec));
+            let oracle = || {
+                let cols = im2col(&x, kh, kw, spec);
+                conv2d_backward_im2col(&gout, &cols, &wt, x.shape().dims(), spec)
+            };
+            let (fx, fw) = conv2d_backward(&gout, &x, &wt, spec);
+            let (ox, ow) = oracle();
             assert!(
                 fx.allclose(&ox, 1e-4) && fw.allclose(&ow, 1e-4),
                 "backward mismatch for {:?}",
                 (n, c, h, w, o, kh, kw, stride, pad)
             );
-            let (fx64, fw64) = with_accum(Accum::F64, || {
-                with_conv_impl(ConvImpl::Fused, || conv2d_backward(&gout, &x, &wt, spec))
-            });
-            let (ox64, ow64) = with_accum(Accum::F64, || {
-                with_conv_impl(ConvImpl::Im2col, || conv2d_backward(&gout, &x, &wt, spec))
-            });
+            let (fx64, fw64) = with_accum(Accum::F64, || conv2d_backward(&gout, &x, &wt, spec));
+            let (ox64, ow64) = with_accum(Accum::F64, oracle);
             assert_eq!(
                 fx64.as_slice(),
                 ox64.as_slice(),
@@ -1110,37 +943,37 @@ mod tests {
             let wt = pseudo(&[o, c, kh, kw], 5 * o + kw);
             let gout = pseudo(&[n, o, spec.out_dim(h, kh), spec.out_dim(w, kw)], 11 * n);
             let cols = im2col(&x, kh, kw, spec);
-            for conv in [ConvImpl::Fused, ConvImpl::Im2col] {
-                for mode in [Accum::F32, Accum::F64] {
-                    let run = |f: &dyn Fn() -> Tensor| with_accum(mode, || with_conv_impl(conv, f));
-                    let gx = run(&|| conv2d_backward_data(&gout, &x, &wt, spec));
-                    let gw = run(&|| conv2d_backward_weight(&gout, &x, &wt, spec));
-                    let (wx, ww) = with_accum(mode, || {
-                        with_conv_impl(conv, || conv2d_backward(&gout, &x, &wt, spec))
-                    });
-                    let at = (n, c, h, w, o, kh, kw, stride, pad, conv, mode);
-                    assert_eq!(gx.as_slice(), wx.as_slice(), "data half differs at {at:?}");
+            for mode in [Accum::F32, Accum::F64] {
+                let gx = with_accum(mode, || conv2d_backward_data(&gout, &x, &wt, spec));
+                let gw = with_accum(mode, || conv2d_backward_weight(&gout, &x, &wt, spec));
+                let (wx, ww) = with_accum(mode, || conv2d_backward(&gout, &x, &wt, spec));
+                let at = (n, c, h, w, o, kh, kw, stride, pad, mode);
+                assert_eq!(gx.as_slice(), wx.as_slice(), "data half differs at {at:?}");
+                assert_eq!(
+                    gw.as_slice(),
+                    ww.as_slice(),
+                    "weight half differs at {at:?}"
+                );
+                let (ox, ow) = with_accum(mode, || {
+                    conv2d_backward_im2col(&gout, &cols, &wt, x.shape().dims(), spec)
+                });
+                if mode == Accum::F64 {
+                    // And both halves agree with the im2col oracle bit for bit.
+                    assert_eq!(
+                        gx.as_slice(),
+                        ox.as_slice(),
+                        "data half vs oracle at {at:?}"
+                    );
                     assert_eq!(
                         gw.as_slice(),
-                        ww.as_slice(),
-                        "weight half differs at {at:?}"
+                        ow.as_slice(),
+                        "weight half vs oracle at {at:?}"
                     );
-                    if mode == Accum::F64 {
-                        // And both halves agree with the im2col oracle bit for bit.
-                        let (ox, ow) = with_accum(mode, || {
-                            conv2d_backward_im2col(&gout, &cols, &wt, x.shape().dims(), spec)
-                        });
-                        assert_eq!(
-                            gx.as_slice(),
-                            ox.as_slice(),
-                            "data half vs oracle at {at:?}"
-                        );
-                        assert_eq!(
-                            gw.as_slice(),
-                            ow.as_slice(),
-                            "weight half vs oracle at {at:?}"
-                        );
-                    }
+                } else {
+                    assert!(
+                        gx.allclose(&ox, 1e-4) && gw.allclose(&ow, 1e-4),
+                        "halves vs oracle at {at:?}"
+                    );
                 }
             }
         }
@@ -1153,9 +986,9 @@ mod tests {
         let spec = ConvSpec { stride: 2, pad: 1 };
         let x = pseudo(&[2, 2, 5, 5], 31);
         let wt = pseudo(&[3, 2, 3, 3], 32);
-        let out = with_conv_impl(ConvImpl::Fused, || conv2d(&x, &wt, spec));
+        let out = conv2d(&x, &wt, spec);
         let gout = pseudo(out.shape().dims(), 33);
-        let (gx, gw) = with_conv_impl(ConvImpl::Fused, || conv2d_backward(&gout, &x, &wt, spec));
+        let (gx, gw) = conv2d_backward(&gout, &x, &wt, spec);
         let dot = |a: &Tensor, b: &Tensor| {
             a.as_slice()
                 .iter()
@@ -1175,7 +1008,7 @@ mod tests {
         let spec = ConvSpec { stride: 1, pad: 1 };
         let x = pseudo(&[8, 3, 9, 9], 41);
         let wt = pseudo(&[5, 3, 3, 3], 42);
-        for mode in [Accum::F32, Accum::F64, Accum::Kahan] {
+        for mode in [Accum::F32, Accum::F64] {
             let fwd = with_accum(mode, || conv2d(&x, &wt, spec));
             let fwd_serial = pool::with_serial(|| with_accum(mode, || conv2d(&x, &wt, spec)));
             assert_eq!(fwd.as_slice(), fwd_serial.as_slice());

@@ -13,8 +13,9 @@
 //! * [`linalg`]: cache-blocked, packed and (for large problems) pooled
 //!   matrix multiplication, including the transposed variants backward
 //!   passes need.
-//! * [`conv`]: im2col-based 2-D convolution, max pooling and global average
-//!   pooling, each with explicit backward kernels.
+//! * [`conv`]: implicit-GEMM 2-D convolution (plus im2col oracle
+//!   functions), max pooling and global average pooling, each with
+//!   explicit backward kernels.
 //! * [`rng`]: a seeded PRNG wrapper with the Gaussian sampler (Box–Muller)
 //!   used by the paper's zero-knowledge augmentation (§IV-B).
 //! * [`check`]: a deterministic in-repo property-testing helper (seeded by

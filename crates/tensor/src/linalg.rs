@@ -274,7 +274,6 @@ fn gemm(m: usize, k: usize, n: usize, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f
         match mode {
             Accum::F32 => gemm_tiny(m, k, n, a, b, out),
             Accum::F64 => gemm_tiny_f64(m, k, n, a, b, out),
-            Accum::Kahan => gemm_tiny_kahan(m, k, n, a, b, out),
         }
         return;
     }
@@ -321,24 +320,6 @@ pub(crate) fn gemm_panels<A: PackA, B: PackB>(
             });
             for (o, v) in c_chunk.iter_mut().zip(acc) {
                 *o = v as f32;
-            }
-        }
-        Accum::Kahan => {
-            // One Neumaier (f32 sum, f32 compensation) pair per output
-            // element, carried across every KC block exactly like the f64
-            // accumulator vector above; sum and correction combine in f64
-            // at the very end so only one rounding remains.
-            let mut sum: Vec<f32> = c_chunk.to_vec();
-            let mut comp: Vec<f32> = vec![0.0f32; c_chunk.len()];
-            for_each_tile(k, n, np, c_chunk.len() / n, a, &packed_b, row0, {
-                |kc, ap, bp, r0, c0, mr, nr| {
-                    microkernel_kahan(kc, ap, bp, &mut sum, &mut comp, r0, c0, n, mr, nr)
-                }
-            });
-            for (o, (s, c)) in c_chunk.iter_mut().zip(sum.iter().zip(&comp)) {
-                // lint:allow(cast) — this arm IS the compensated mode: the
-                // sum+correction combine rounds to the f32 output once, here.
-                *o = ((*s as f64) + (*c as f64)) as f32;
             }
         }
     };
@@ -648,58 +629,6 @@ fn microkernel_f64_generic(
     }
 }
 
-/// Portable Neumaier-compensated microkernel: each output element carries
-/// an `f32` running sum plus an `f32` compensation term, both loaded from
-/// the caller's vectors and stored back, so the compensated chain spans
-/// every `KC` block in the fixed `for_each_tile` order. Deliberately
-/// portable-only and FMA-free: Rust never contracts `a * b + c` on its
-/// own, so the same rounding sequence runs on every target.
-#[allow(clippy::too_many_arguments)]
-fn microkernel_kahan(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    sum: &mut [f32],
-    comp: &mut [f32],
-    row0: usize,
-    col0: usize,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut stile = [[0.0f32; NR]; MR];
-    let mut ctile = [[0.0f32; NR]; MR];
-    for i in 0..mr {
-        let base = (row0 + i) * ldc + col0;
-        stile[i][..nr].copy_from_slice(&sum[base..base + nr]);
-        ctile[i][..nr].copy_from_slice(&comp[base..base + nr]);
-    }
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        // lint:allow(panic) — `chunks_exact(MR)` yields exactly-MR slices.
-        let av: [f32; MR] = av.try_into().unwrap();
-        // lint:allow(panic) — `chunks_exact(NR)` yields exactly-NR slices.
-        let bv: [f32; NR] = bv.try_into().unwrap();
-        for i in 0..MR {
-            for j in 0..NR {
-                let v = av[i] * bv[j];
-                let s = stile[i][j];
-                let t = s + v;
-                if s.abs() >= v.abs() {
-                    ctile[i][j] += (s - t) + v;
-                } else {
-                    ctile[i][j] += (v - t) + s;
-                }
-                stile[i][j] = t;
-            }
-        }
-    }
-    for i in 0..mr {
-        let base = (row0 + i) * ldc + col0;
-        sum[base..base + nr].copy_from_slice(&stile[i][..nr]);
-        comp[base..base + nr].copy_from_slice(&ctile[i][..nr]);
-    }
-}
-
 /// AVX2 `f64` microkernel: `_mm256_cvtps_pd` widens the packed `f32`
 /// panels, then plain `mul_pd + add_pd` (deliberately no `fmadd`) updates
 /// four 4-wide accumulators per row in the same order as the portable
@@ -788,38 +717,6 @@ fn gemm_tiny_f64(m: usize, k: usize, n: usize, a: MatRef<'_>, b: MatRef<'_>, out
             // lint:allow(cast) — this fn IS the f64-accumulation mode: wide
             // dot products round to the f32 output exactly once, here.
             *cv = row[j] as f32;
-        }
-    }
-}
-
-/// Neumaier-compensated tiny-GEMM: one (sum, compensation) `f32` row pair
-/// accumulated in pure `k` order, matching the packed Kahan path's
-/// per-element chain exactly.
-fn gemm_tiny_kahan(m: usize, k: usize, n: usize, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
-    let mut sum = vec![0.0f32; n];
-    let mut comp = vec![0.0f32; n];
-    for i in 0..m {
-        let crow = &mut out[i * n..(i + 1) * n];
-        sum.copy_from_slice(crow);
-        comp.fill(0.0);
-        for kk in 0..k {
-            let av = a.at(i, kk);
-            for j in 0..n {
-                let v = av * b.at(kk, j);
-                let s = sum[j];
-                let t = s + v;
-                if s.abs() >= v.abs() {
-                    comp[j] += (s - t) + v;
-                } else {
-                    comp[j] += (v - t) + s;
-                }
-                sum[j] = t;
-            }
-        }
-        for (j, cv) in crow.iter_mut().enumerate() {
-            // lint:allow(cast) — this fn IS the compensated mode: the
-            // sum+correction combine rounds to the f32 output once, here.
-            *cv = ((sum[j] as f64) + (comp[j] as f64)) as f32;
         }
     }
 }
@@ -1022,34 +919,6 @@ mod tests {
         let pooled = with_accum(Accum::F64, || matmul(&a, &b));
         let serial = crate::pool::with_serial(|| with_accum(Accum::F64, || matmul(&a, &b)));
         assert_eq!(pooled.as_slice(), serial.as_slice());
-    }
-
-    #[test]
-    fn kahan_mode_pooled_and_serial_agree_bitwise() {
-        use crate::accum::{with_accum, Accum};
-        let a = pseudo(&[130, 270], 28);
-        let b = pseudo(&[270, 90], 29);
-        let pooled = with_accum(Accum::Kahan, || matmul(&a, &b));
-        let serial = crate::pool::with_serial(|| with_accum(Accum::Kahan, || matmul(&a, &b)));
-        assert_eq!(pooled.as_slice(), serial.as_slice());
-    }
-
-    #[test]
-    fn kahan_mode_tracks_the_f64_oracle() {
-        use crate::accum::{with_accum, Accum};
-        // Long-k dot products: the compensated f32 chain should land within
-        // a few output ulps of the exactly-rounded f64 chain, both through
-        // the packed path and the tiny fallback.
-        let a = pseudo(&[90, 400], 30);
-        let b = pseudo(&[400, 70], 31);
-        let kahan = with_accum(Accum::Kahan, || matmul(&a, &b));
-        let oracle = with_accum(Accum::F64, || matmul(&a, &b));
-        assert!(kahan.allclose(&oracle, 1e-5));
-        let at = pseudo(&[4, 200], 32);
-        let bt = pseudo(&[200, 3], 33);
-        let kahan = with_accum(Accum::Kahan, || matmul(&at, &bt));
-        let oracle = with_accum(Accum::F64, || matmul(&at, &bt));
-        assert!(kahan.allclose(&oracle, 1e-5));
     }
 
     #[test]

@@ -586,31 +586,6 @@ impl Tensor {
                     *d = v as f32;
                 }
             }
-            crate::accum::Accum::Kahan => {
-                // One Neumaier (sum, compensation) pair per output element,
-                // walked in the same fixed o/m/i order as the other modes.
-                let mut comp = vec![0.0f32; outer * inner];
-                for o in 0..outer {
-                    for m in 0..mid {
-                        let base = (o * mid + m) * inner;
-                        let out_base = o * inner;
-                        for i in 0..inner {
-                            let v = self.data[base + i];
-                            let s = data[out_base + i];
-                            let t = s + v;
-                            if s.abs() >= v.abs() {
-                                comp[out_base + i] += (s - t) + v;
-                            } else {
-                                comp[out_base + i] += (v - t) + s;
-                            }
-                            data[out_base + i] = t;
-                        }
-                    }
-                }
-                for (d, c) in data.iter_mut().zip(comp) {
-                    *d += c;
-                }
-            }
         }
         Tensor {
             shape: out_shape,
@@ -898,24 +873,6 @@ impl Tensor {
 fn window_sum(data: &[f32], mode: crate::accum::Accum) -> f64 {
     match mode {
         crate::accum::Accum::F64 => data.iter().map(|&v| v as f64).sum::<f64>(),
-        crate::accum::Accum::Kahan => {
-            // Neumaier-compensated sequential f32 chain: `comp` gathers the
-            // low-order bits each add rounds away, whichever operand is
-            // smaller. The window's exact-ish value is `sum + comp`, added
-            // in f64 so the correction is not itself rounded away.
-            let mut sum = 0.0f32;
-            let mut comp = 0.0f32;
-            for &v in data {
-                let t = sum + v;
-                if sum.abs() >= v.abs() {
-                    comp += (sum - t) + v;
-                } else {
-                    comp += (v - t) + sum;
-                }
-                sum = t;
-            }
-            (sum as f64) + (comp as f64)
-        }
         crate::accum::Accum::F32 => {
             let mut lanes = [0.0f64; 8];
             let mut it = data.chunks_exact(8);
@@ -1112,7 +1069,7 @@ mod tests {
         let a = Tensor::from_fn(&[3 * (1 << 16) + 13], |i| {
             ((i * 31 % 1009) as f32 - 504.0) / 1009.0
         });
-        for mode in [Accum::F32, Accum::F64, Accum::Kahan] {
+        for mode in [Accum::F32, Accum::F64] {
             let pooled = with_accum(mode, || a.sum());
             let serial = crate::pool::with_serial(|| with_accum(mode, || a.sum()));
             assert_eq!(pooled.to_bits(), serial.to_bits());
@@ -1133,29 +1090,10 @@ mod tests {
     }
 
     #[test]
-    fn kahan_sum_beats_a_naive_f32_chain() {
-        use crate::accum::{with_accum, Accum};
-        // 0.1 is inexact in f32; a naive sequential f32 chain drifts badly
-        // over 2^20 adds, while the Neumaier compensation recovers the
-        // low-order bits each rounded add discards.
-        let a = Tensor::from_fn(&[1 << 20], |_| 0.1);
-        let oracle: f64 = a.as_slice().iter().map(|&v| v as f64).sum();
-        let naive = a.as_slice().iter().fold(0.0f32, |s, &v| s + v);
-        let kahan = with_accum(Accum::Kahan, || a.sum());
-        let kahan_err = (kahan as f64 - oracle).abs();
-        let naive_err = (naive as f64 - oracle).abs();
-        assert!(
-            kahan_err * 100.0 < naive_err,
-            "kahan {kahan} (err {kahan_err}) vs naive {naive} (err {naive_err})"
-        );
-        assert!(kahan_err <= oracle * 1e-6);
-    }
-
-    #[test]
     fn sum_axis_modes_agree_on_exact_data() {
         use crate::accum::{with_accum, Accum};
         let a = Tensor::from_fn(&[2, 3, 2], |i| i as f32);
-        for mode in [Accum::F32, Accum::F64, Accum::Kahan] {
+        for mode in [Accum::F32, Accum::F64] {
             let s = with_accum(mode, || a.sum_axis(1));
             assert_eq!(s.as_slice(), &[6., 9., 24., 27.]);
         }
