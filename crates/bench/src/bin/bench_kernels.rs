@@ -165,6 +165,30 @@ fn main() {
         samples,
         || conv::conv2d_backward(&gout, &img, &filt, spec),
     ));
+    // The two backward halves separately, at LeNet's conv2 shape (batch 32,
+    // 16→32 channels, 5×5 on 12×12) in smoke runs too: training pays the
+    // weight half, attacks only the data half.
+    let lenet_x = rng.uniform_tensor(&[32, 16, 12, 12], -1.0, 1.0);
+    let lenet_w = rng.uniform_tensor(&[32, 16, 5, 5], -0.5, 0.5);
+    let lenet_g = rng.uniform_tensor(&[32, 32, 8, 8], -1.0, 1.0);
+    let lenet_spec = ConvSpec::default();
+    let lenet_flops = 2 * 32 * 32 * 8 * 8 * 16 * 25;
+    results.push(microbench::run(
+        "conv2d_backward_weight",
+        "32x16x12x12*32x16x5x5",
+        lenet_flops,
+        warmup,
+        samples,
+        || conv::conv2d_backward_weight(&lenet_g, &lenet_x, &lenet_w, lenet_spec),
+    ));
+    results.push(microbench::run(
+        "conv2d_backward_data",
+        "32x16x12x12*32x16x5x5",
+        lenet_flops,
+        warmup,
+        samples,
+        || conv::conv2d_backward_data(&lenet_g, &lenet_x, &lenet_w, lenet_spec),
+    ));
     results.push(microbench::run(
         "im2col",
         &format!("{batch}x3x32x32 k3s1p1"),
@@ -221,12 +245,12 @@ fn main() {
         stats.threads, stats.threads_spawned, stats.jobs_completed
     );
     println!(
-        "{:<18} {:<22} {:>14} {:>10}",
+        "{:<24} {:<22} {:>14} {:>10}",
         "kernel", "shape", "ns/iter", "GFLOP/s"
     );
     for m in &results {
         println!(
-            "{:<18} {:<22} {:>14.0} {:>10.2}",
+            "{:<24} {:<22} {:>14.0} {:>10.2}",
             m.name, m.shape, m.ns_per_iter, m.gflops
         );
     }

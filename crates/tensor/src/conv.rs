@@ -2,14 +2,17 @@
 //! backward passes.
 //!
 //! The default lowering is a **fused implicit GEMM**: input patches are
-//! gathered directly into the GEMM microkernel's packed B-panels (see
-//! [`crate::linalg`]'s `PackB` trait), so the `[C·kh·kw, Ho·Wo]` column
-//! matrix never exists in memory. Each example's output is computed as
-//! `W [O × C·kh·kw] × patches [C·kh·kw × Ho·Wo]`, which lands directly in
-//! NCHW order — no im2col buffer and no output transpose. The backward
-//! pass reuses the same patch packing for the weight gradient (pixels
-//! become the contraction axis) and fuses the col2im adjoint into a
-//! per-example tile-then-scatter for the data gradient.
+//! gathered directly into the GEMM microkernel's packed panels (see
+//! [`crate::linalg`]'s `PackA` / `PackB` traits), one output-row run at a
+//! time. The forward computes each example's output as
+//! `W [O × C·kh·kw] × patches [C·kh·kw × Ho·Wo]`, with the patches as the
+//! B operand, which lands directly in NCHW order: the `[C·kh·kw, Ho·Wo]`
+//! column matrix never exists in memory, and there is no output transpose.
+//! The weight gradient is the transposed GEMM `∂Wᵀ = cols · g` over all
+//! `N·Ho·Wo` pixels. There the patches are the A operand, so only one
+//! `MC × KC` block of the column matrix is ever packed, while the gradient
+//! is packed whole as B. The data gradient fuses the col2im adjoint into
+//! a per-example tile-then-scatter.
 //!
 //! The fused path is the one production lowering. The classic
 //! im2col-then-GEMM lowering survives only as plain oracle functions
@@ -98,13 +101,72 @@ impl Geom {
     fn pixels(&self) -> usize {
         self.ho * self.wo
     }
+
+    /// Decodes patch index `j` into its tap `(ch, ky, kx)`.
+    fn tap(&self, j: usize) -> (usize, usize, usize) {
+        let r = j % (self.kh * self.kw);
+        (j / (self.kh * self.kw), r / self.kw, r % self.kw)
+    }
+}
+
+/// Gathers patch element `tap = (ch, ky, kx)` of the `run` consecutive
+/// output pixels `(oy, ox..ox + run)` of one example's `[C, H, W]` block
+/// into `dst[t · step]`. The pixels share one output row, so they read one
+/// input line at stride `g.stride`; the run is clipped to the image once
+/// and the zero-padding positions are left untouched (callers zero `dst`
+/// first). The forward's B panels call it with `step` 1, the weight
+/// gradient's A panels with `step` `MR`; it is inlined so `step` is a
+/// constant in each.
+#[inline(always)]
+fn gather_run(
+    src: &[f32],
+    g: Geom,
+    (ch, ky, kx): (usize, usize, usize),
+    (oy, ox): (usize, usize),
+    run: usize,
+    dst: &mut [f32],
+    step: usize,
+) {
+    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+    if iy < 0 || iy as usize >= g.h {
+        return;
+    }
+    let line = &src[(ch * g.h + iy as usize) * g.w..][..g.w];
+    // Pixel t reads input column ix0 + t·stride; keep the t inside the
+    // image. Stride 1, the common case, needs no division.
+    let ix0 = (ox * g.stride + kx) as isize - g.pad as isize;
+    let (before, inside) = ((-ix0).max(0) as usize, (g.w as isize - ix0).max(0) as usize);
+    let (lo, hi) = if g.stride == 1 {
+        (before, inside.min(run))
+    } else {
+        (
+            before.div_ceil(g.stride),
+            inside.div_ceil(g.stride).min(run),
+        )
+    };
+    if lo >= hi {
+        return;
+    }
+    let first = (ix0 + (lo * g.stride) as isize) as usize;
+    if step == 1 && g.stride == 1 {
+        dst[lo..hi].copy_from_slice(&line[first..first + (hi - lo)]);
+    } else {
+        let cols = line[first..].iter().step_by(g.stride);
+        for (d, &v) in dst[lo * step..]
+            .iter_mut()
+            .step_by(step)
+            .zip(cols)
+            .take(hi - lo)
+        {
+            *d = v;
+        }
+    }
 }
 
 /// Implicit-GEMM B-panel source for the forward pass: `opB[j, p]` is patch
 /// element `j = (ch, ky, kx)` of output pixel `p = (oy, ox)` of one
-/// example, gathered straight from the NCHW input. With stride 1 a panel
-/// row covers consecutive output pixels of one image line, so the gather
-/// is a border-clipped `copy_from_slice` instead of a scalar loop.
+/// example, gathered straight from the NCHW input one output-row run at a
+/// time by [`gather_run`].
 struct PatchColsB<'a> {
     /// One example's `[C, H, W]` block.
     src: &'a [f32],
@@ -116,88 +178,67 @@ impl PackB for PatchColsB<'_> {
         let g = self.g;
         dst.fill(0.0);
         for kk in 0..kc {
-            let j = k0 + kk;
-            let ch = j / (g.kh * g.kw);
-            let r = j % (g.kh * g.kw);
-            let (ky, kx) = (r / g.kw, r % g.kw);
+            let tap = g.tap(k0 + kk);
             let row = &mut dst[kk * NR..(kk + 1) * NR];
+            // The panel may span several output rows: one run per row.
             let mut jj = 0;
             while jj < nr {
                 let p = j0 + jj;
                 let (oy, ox) = (p / g.wo, p % g.wo);
-                // Consecutive pixels within one output row share an input
-                // line; the panel may span several output rows.
                 let run = (nr - jj).min(g.wo - ox);
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                if iy >= 0 && (iy as usize) < g.h {
-                    let line = (ch * g.h + iy as usize) * g.w;
-                    if g.stride == 1 {
-                        // Input columns form one contiguous span; clip it to
-                        // the image borders and bulk-copy.
-                        let ix0 = (ox + kx) as isize - g.pad as isize;
-                        let lo = (-ix0).max(0) as usize;
-                        let hi = run.min((g.w as isize - ix0).max(0) as usize);
-                        if lo < hi {
-                            let s = (ix0 + lo as isize) as usize;
-                            row[jj + lo..jj + hi]
-                                .copy_from_slice(&self.src[line + s..line + s + (hi - lo)]);
-                        }
-                    } else {
-                        for t in 0..run {
-                            let ix = ((ox + t) * g.stride + kx) as isize - g.pad as isize;
-                            if ix >= 0 && (ix as usize) < g.w {
-                                row[jj + t] = self.src[line + ix as usize];
-                            }
-                        }
-                    }
-                }
+                gather_run(self.src, g, tap, (oy, ox), run, &mut row[jj..], 1);
                 jj += run;
             }
         }
     }
 }
 
-/// Implicit-GEMM B-panel source for the weight gradient: the im2col matrix
-/// with *pixels as the depth axis* — `opB[pix, j]` is patch element `j` of
-/// global output pixel `pix = (b, oy, ox)` — because `∂W = gᵀ · cols`
-/// contracts over all `N·Ho·Wo` pixels.
-struct PatchRowsB<'a> {
+/// Implicit-GEMM A-panel source for the weight gradient: the transposed
+/// im2col matrix, `opA[j, pix]` = patch element `j` of global output pixel
+/// `pix = (b, oy, ox)`, because `∂Wᵀ = cols · g` contracts over all
+/// `N·Ho·Wo` pixels. Each row is gathered in output-row runs by
+/// [`gather_run`], the forward's gather, at stride `MR`; only one
+/// `MC × KC` block of the matrix exists at a time.
+struct PatchRowsA<'a> {
     /// The full `[N, C, H, W]` input.
     src: &'a [f32],
     g: Geom,
 }
 
-impl PackB for PatchRowsB<'_> {
-    fn pack_b_panel(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nr: usize) {
+impl PackA for PatchRowsA<'_> {
+    fn pack_a_block(&self, pa: &mut [f32], row0: usize, mc: usize, k0: usize, kc: usize) {
         let g = self.g;
-        let (khw, pixels) = (g.kh * g.kw, g.pixels());
-        dst.fill(0.0);
-        for kk in 0..kc {
-            let pix = k0 + kk;
-            let (b, p) = (pix / pixels, pix % pixels);
-            let (oy, ox) = (p / g.wo, p % g.wo);
-            let iy0 = (oy * g.stride) as isize - g.pad as isize;
-            let ix0 = (ox * g.stride) as isize - g.pad as isize;
-            let row = &mut dst[kk * NR..(kk + 1) * NR];
-            for (jj, v) in row[..nr].iter_mut().enumerate() {
-                let j = j0 + jj;
-                let ch = j / khw;
-                let r = j % khw;
-                let iy = iy0 + (r / g.kw) as isize;
-                let ix = ix0 + (r % g.kw) as isize;
-                if iy >= 0 && (iy as usize) < g.h && ix >= 0 && (ix as usize) < g.w {
-                    *v = self.src[((b * g.c + ch) * g.h + iy as usize) * g.w + ix as usize];
+        let (pixels, image) = (g.pixels(), g.c * g.h * g.w);
+        pa[..mc.div_ceil(MR) * kc * MR].fill(0.0);
+        // Every row walks the same pixels k0..k0 + kc: runs end at output
+        // row ends, so only the first pixel needs decoding.
+        let (b0, p0) = (k0 / pixels, k0 % pixels);
+        let (oy0, ox0) = (p0 / g.wo, p0 % g.wo);
+        for i in 0..mc {
+            let tap = g.tap(row0 + i);
+            let lane = &mut pa[(i / MR) * kc * MR + i % MR..];
+            let (mut b, mut oy, mut ox) = (b0, oy0, ox0);
+            let mut kk = 0;
+            while kk < kc {
+                let run = (kc - kk).min(g.wo - ox);
+                let example = &self.src[b * image..(b + 1) * image];
+                gather_run(example, g, tap, (oy, ox), run, &mut lane[kk * MR..], MR);
+                kk += run;
+                ox = 0;
+                oy += 1;
+                if oy == g.ho {
+                    oy = 0;
+                    b += 1;
                 }
             }
         }
     }
 }
 
-/// A-panel source for the weight gradient: `opA[o, pix] = grad_out[b, o,
-/// oy, ox]` — the transposed NHWC row matrix read directly out of the NCHW
-/// gradient in example-contiguous runs, so the transpose never
-/// materializes either.
-struct GradRowsA<'a> {
+/// B-panel source for the weight gradient: `opB[pix, o] = grad_out[b, o,
+/// oy, ox]`, the NCHW gradient read as a `[N·Ho·Wo, O]` matrix in
+/// example-contiguous pixel runs, so the transpose never materializes.
+struct GradPixelsB<'a> {
     /// The full `[N, O, Ho, Wo]` upstream gradient.
     grad: &'a [f32],
     o: usize,
@@ -205,32 +246,26 @@ struct GradRowsA<'a> {
     pixels: usize,
 }
 
-impl PackA for GradRowsA<'_> {
-    fn pack_a_block(&self, pa: &mut [f32], row0: usize, mc: usize, k0: usize, kc: usize) {
-        let panels = mc.div_ceil(MR);
-        for ip in 0..panels {
-            let i0 = ip * MR;
-            let mr = MR.min(mc - i0);
-            let dst = &mut pa[ip * kc * MR..(ip + 1) * kc * MR];
-            if mr < MR {
-                dst.fill(0.0);
-            }
-            for i in 0..mr {
-                let och = row0 + i0 + i;
-                let (mut b, mut p) = (k0 / self.pixels, k0 % self.pixels);
-                let mut kk = 0;
-                while kk < kc {
-                    let run = (kc - kk).min(self.pixels - p);
-                    let src = &self.grad[(b * self.o + och) * self.pixels + p..][..run];
-                    for (t, &v) in src.iter().enumerate() {
-                        dst[(kk + t) * MR + i] = v;
-                    }
-                    kk += run;
-                    p += run;
-                    if p == self.pixels {
-                        p = 0;
-                        b += 1;
-                    }
+impl PackB for GradPixelsB<'_> {
+    fn pack_b_panel(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nr: usize) {
+        if nr < NR {
+            dst.fill(0.0);
+        }
+        for jj in 0..nr {
+            let och = j0 + jj;
+            let (mut b, mut p) = (k0 / self.pixels, k0 % self.pixels);
+            let mut kk = 0;
+            while kk < kc {
+                let run = (kc - kk).min(self.pixels - p);
+                let src = &self.grad[(b * self.o + och) * self.pixels + p..][..run];
+                for (d, &v) in dst[kk * NR + jj..].iter_mut().step_by(NR).zip(src) {
+                    *d = v;
+                }
+                kk += run;
+                p += run;
+                if p == self.pixels {
+                    p = 0;
+                    b += 1;
                 }
             }
         }
@@ -438,7 +473,9 @@ pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor
 /// [`conv2d_backward_data`] and [`conv2d_backward_weight`], which a caller
 /// that needs only one of the two calls directly.
 ///
-/// Neither half materializes the column matrix or its gradient. Under
+/// Neither half materializes the whole column matrix or its gradient: the
+/// data half tiles one example's `∂cols` at a time, and the weight half
+/// packs the patches one `MC × KC` block at a time. Under
 /// [`crate::accum::Accum::F64`] the pair is bit-identical to
 /// [`conv2d_backward_im2col`].
 ///
@@ -511,12 +548,17 @@ pub fn conv2d_backward_data(
 
 /// The weight half of [`conv2d_backward`]: `∂W [O, C, kh, kw]` alone.
 ///
-/// One implicit GEMM `∂W [O, C·kh·kw] = gᵀ × cols` contracted over all
-/// `N·Ho·Wo` output pixels, with the transposed gradient gathered by
-/// [`GradRowsA`] and the patches by [`PatchRowsB`]. The f64-mode chain
-/// runs in global pixel order across `KC` blocks, exactly the order
-/// `matmul_tn` uses on the materialized matrices, which is what makes it
-/// bit-identical to the im2col oracle under [`crate::accum::Accum::F64`].
+/// One transposed implicit GEMM `∂Wᵀ [C·kh·kw × O] = cols [C·kh·kw ×
+/// N·Ho·Wo] · g [N·Ho·Wo × O]`, contracted over all output pixels, with
+/// the patches gathered as the A operand by [`PatchRowsA`] and the
+/// gradient as the packed B operand by [`GradPixelsB`]; the small result
+/// is then transposed into `[O, C, kh, kw]`. Only the gradient is packed
+/// whole (`N·Ho·Wo × ⌈O⌉₁₆` floats); the patch matrix exists one
+/// `MC × KC` block at a time. Each element's chain runs in global pixel
+/// order across `KC` blocks, exactly the order `matmul_tn` uses on the
+/// materialized matrices, and a product is the same whichever operand it
+/// comes from, so the result is bit-identical to the im2col oracle under
+/// [`crate::accum::Accum::F64`].
 ///
 /// # Panics
 ///
@@ -529,18 +571,27 @@ pub fn conv2d_backward_weight(
 ) -> Tensor {
     let g = backward_geom(grad_out, input, weight, spec);
     let (n, o) = (input.dim(0), weight.dim(0));
-    let a = GradRowsA {
-        grad: grad_out.as_slice(),
-        o,
-        pixels: g.pixels(),
-    };
-    let b = PatchRowsB {
+    let (pixels, patch) = (g.pixels(), g.patch());
+    let a = PatchRowsA {
         src: input.as_slice(),
         g,
     };
-    let mut out = vec![0.0f32; o * g.patch()];
+    let b = GradPixelsB {
+        grad: grad_out.as_slice(),
+        o,
+        pixels,
+    };
+    let mut grad_wt = vec![0.0f32; patch * o];
     let mode = accum::accum();
-    linalg::gemm_panels(mode, o, n * g.pixels(), g.patch(), &a, &b, &mut out);
+    linalg::gemm_panels(mode, patch, n * pixels, o, &a, &b, &mut grad_wt);
+    // ∂Wᵀ [C·kh·kw × O] → ∂W [O, C·kh·kw]: output channel `och` is column
+    // `och` of the GEMM result.
+    let mut out = vec![0.0f32; o * patch];
+    for (och, dst) in out.chunks_exact_mut(patch).enumerate() {
+        for (d, &v) in dst.iter_mut().zip(grad_wt.iter().skip(och).step_by(o)) {
+            *d = v;
+        }
+    }
     Tensor::from_vec(vec![o, g.c, g.kh, g.kw], out)
 }
 
@@ -830,6 +881,10 @@ mod tests {
         (1, 1, 3, 5, 5, 3, 3, 1, 2),  // rectangular, o > MR
         (3, 2, 5, 7, 17, 2, 4, 1, 1), // o > NR, rectangular kernel
         (1, 3, 9, 9, 4, 3, 3, 3, 1),  // stride 3
+        // Weight-gradient contractions (N·Ho·Wo) longer than one KC block:
+        (3, 1, 28, 28, 16, 5, 5, 1, 0), // LeNet conv1: 1728 pixels, KC crossed mid-example
+        (5, 16, 12, 12, 32, 5, 5, 1, 0), // LeNet conv2: C·kh·kw = 400 > MC, O = 32 > NR
+        (4, 3, 21, 21, 6, 3, 3, 2, 1),  // stride 2, padded: 4 × 11 × 11 = 484 pixels
     ];
 
     #[test]

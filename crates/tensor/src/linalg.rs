@@ -34,8 +34,10 @@
 //!   panel layout reuses the full microkernel/blocking/pool machinery.
 //!   [`MatRef`] (a strided matrix view) is the implementation the three
 //!   public matmuls use; [`crate::conv`] provides implicit-GEMM packers
-//!   that gather convolution patches directly into B-panels without ever
-//!   materializing an im2col matrix.
+//!   that gather convolution patches directly into B-panels (forward) or
+//!   A-panels (weight gradient), so no whole im2col matrix is ever
+//!   materialized: packed B covers all of `k`, packed A one `MC × KC`
+//!   block at a time.
 
 use crate::accum::{self, Accum};
 use crate::pool;
@@ -373,9 +375,11 @@ fn for_each_tile<A: PackA>(
 /// depth-block holds `ceil(n / NR)` contiguous `kc × NR` panels, with edge
 /// panels zero-padded so the microkernel never branches on width. Large
 /// buffers parallelize over depth blocks (each block is a disjoint region,
-/// so the result is identical for any pool size); for expensive gather
-/// sources like the implicit-GEMM patch packers this is where the bulk of
-/// a skinny GEMM's work happens.
+/// so the result is identical for any pool size). All of `opB` is packed
+/// up front (`k × ⌈n⌉₁₆` floats) while A is packed one `MC × KC` block at
+/// a time, so a long gathered contraction puts its wide operand on the A
+/// side: the conv weight gradient packs the patches as A and only the
+/// narrow gradient as B.
 fn pack_b_panels<B: PackB>(k: usize, n: usize, b: &B) -> Vec<f32> {
     let np = n.div_ceil(NR);
     let mut packed = vec![0.0f32; k * np * NR];

@@ -4,6 +4,7 @@
 use crate::linalg;
 use crate::pool;
 use crate::Shape;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Minimum elements per task for pooled elementwise loops; below twice this
@@ -620,21 +621,25 @@ impl Tensor {
         if *target == self.shape {
             return self.clone();
         }
-        let mut cur = self.clone();
+        // The first reduction reads `self` directly; only its (smaller)
+        // result is owned.
+        let mut cur = Cow::Borrowed(self);
         // Remove leading broadcast-added axes.
         while cur.rank() > target.rank() {
-            cur = cur.sum_axis(0);
+            cur = Cow::Owned(cur.sum_axis(0));
         }
         // Sum axes where the target had size 1.
         for axis in 0..target.rank() {
             if target.dim(axis) == 1 && cur.dim(axis) != 1 {
+                let mut summed = cur.sum_axis(axis);
                 let mut dims = cur.shape.dims().to_vec();
                 dims[axis] = 1;
-                cur = cur.sum_axis(axis).reshape(&dims);
+                summed.shape = Shape::new(dims);
+                cur = Cow::Owned(summed);
             }
         }
         debug_assert_eq!(cur.shape, *target);
-        cur
+        cur.into_owned()
     }
 
     // ---------------------------------------------------------------------
