@@ -95,35 +95,41 @@ impl Attack for CarliniWagner {
         for t in 1..=self.iters {
             let tanh_w = w.tanh();
             let adv = center.add(&radius.mul(&tanh_w));
-            let z = model.logits(&adv);
 
-            // Margin term: f = z_true − max_{k≠true} z_k (per sample).
-            // Samples are independent and RNG-free, so the runner-up sweep
-            // fans out across the pool; results come back in index order,
-            // identical to the serial loop.
-            let margins = pool::parallel_tasks(n, |i| {
-                let truth = labels[i];
-                let mut runner_up = usize::MAX;
-                let mut best_z = f32::NEG_INFINITY;
-                for k in 0..classes {
-                    if k != truth && z.at(&[i, k]) > best_z {
-                        best_z = z.at(&[i, k]);
-                        runner_up = k;
+            // Margin term: f = z_true − max_{k≠true} z_k (per sample), and
+            // its gradient from the same forward through the ±1 weight rows
+            // selecting d f / d adv. Samples are independent and RNG-free,
+            // so the runner-up sweep fans out across the pool; results come
+            // back in index order, identical to the serial loop.
+            let margin_weights = |z: &Tensor| {
+                let margins = pool::parallel_tasks(n, |i| {
+                    let truth = labels[i];
+                    let mut runner_up = usize::MAX;
+                    let mut best_z = f32::NEG_INFINITY;
+                    for k in 0..classes {
+                        if k != truth && z.at(&[i, k]) > best_z {
+                            best_z = z.at(&[i, k]);
+                            runner_up = k;
+                        }
+                    }
+                    (z.at(&[i, truth]) - best_z, runner_up)
+                });
+                let mut weights = Tensor::zeros(&[n, classes]);
+                for (i, &(margin, runner_up)) in margins.iter().enumerate() {
+                    if margin > -self.kappa {
+                        // Only samples whose margin is not yet broken push
+                        // gradient (the max(·, −κ) hinge).
+                        weights.set(&[i, labels[i]], 1.0);
+                        weights.set(&[i, runner_up], -1.0);
                     }
                 }
-                (z.at(&[i, truth]) - best_z, runner_up)
-            });
-            // The ±1 weight rows selecting d f / d adv.
-            let mut weights = Tensor::zeros(&[n, classes]);
-            for (i, &(margin, runner_up)) in margins.iter().enumerate() {
-                if margin > -self.kappa {
-                    // Only samples whose margin is not yet broken push
-                    // gradient (the max(·, −κ) hinge).
-                    weights.set(&[i, labels[i]], 1.0);
-                    weights.set(&[i, runner_up], -1.0);
-                }
-            }
-            let margin_grad = model.weighted_logit_input_grad(&adv, &weights);
+                // lint:allow(alloc) — the weights depend on this
+                // iteration's logits; one one-element Vec per Adam step.
+                vec![weights]
+            };
+            let (z, mut grads) = model.logit_input_grads(&adv, &margin_weights);
+            // lint:allow(panic) — one weight matrix in, one gradient out.
+            let margin_grad = grads.pop().expect("one gradient per weight matrix");
 
             // Distance term: d ‖adv − x‖² / d adv = 2(adv − x).
             let delta = adv.sub(x);

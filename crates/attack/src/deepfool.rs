@@ -65,19 +65,24 @@ impl Attack for DeepFool {
             // only: late iterations (where most samples are already
             // fooled) cost O(active), not O(n).
             let sub = adv.select_rows(&active);
-            let z = model.logits(&sub);
 
-            // Gradient of every class logit w.r.t. the input, batched: one
-            // backward pass per class with a one-hot weight matrix over
-            // the active sub-batch.
-            let mut class_grads: Vec<Tensor> = Vec::with_capacity(classes);
-            for k in 0..classes {
-                let mut w = Tensor::zeros(&[active.len(), classes]);
-                for r in 0..active.len() {
-                    w.set(&[r, k], 1.0);
-                }
-                class_grads.push(model.weighted_logit_input_grad(&sub, &w));
-            }
+            // The logits and the gradient of every class logit w.r.t. the
+            // input, batched: one forward of the active sub-batch, then one
+            // backward pass per class with a one-hot weight matrix.
+            let one_hots = |_: &Tensor| {
+                (0..classes)
+                    .map(|k| {
+                        let mut w = Tensor::zeros(&[active.len(), classes]);
+                        for r in 0..active.len() {
+                            w.set(&[r, k], 1.0);
+                        }
+                        w
+                    })
+                    // lint:allow(alloc) — the matrices are sized by the
+                    // active set, which shrinks every iteration.
+                    .collect()
+            };
+            let (z, class_grads) = model.logit_input_grads(&sub, &one_hots);
 
             // Per active sample: nearest linearized boundary. Samples are
             // independent and the whole attack is RNG-free, so the inner

@@ -76,7 +76,7 @@ fn main() {
     }
 
     let dim = if smoke { 128 } else { 256 };
-    let (warmup, samples) = if smoke { (1, 3) } else { (3, 9) };
+    let (warmup, samples) = if smoke { (3, 21) } else { (3, 9) };
     let mut rng = Prng::new(42);
 
     let a = rng.uniform_tensor(&[dim, dim], -1.0, 1.0);

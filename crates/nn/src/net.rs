@@ -37,6 +37,27 @@ pub trait Classifier: Sync {
     /// (CW).
     fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor;
 
+    /// The logits `z` of `x` together with one input gradient per weight
+    /// matrix that `weights_of(&z)` returns: entry `k` is
+    /// [`Classifier::weighted_logit_input_grad`] of `x` with the `k`-th
+    /// matrix. The weights may depend on `z` (CW's runner-up class) or not
+    /// (DeepFool's one-hot rows).
+    ///
+    /// The default runs [`Classifier::logits`] and one gradient query per
+    /// matrix; [`Net`] records the forward once and sweeps it per matrix.
+    fn logit_input_grads(
+        &self,
+        x: &Tensor,
+        weights_of: &dyn Fn(&Tensor) -> Vec<Tensor>,
+    ) -> (Tensor, Vec<Tensor>) {
+        let z = self.logits(x);
+        let grads = weights_of(&z)
+            .iter()
+            .map(|w| self.weighted_logit_input_grad(x, w))
+            .collect();
+        (z, grads)
+    }
+
     /// Predicted class per row.
     fn predict(&self, x: &Tensor) -> Vec<usize> {
         self.logits(x).argmax_rows()
@@ -110,6 +131,15 @@ impl Net {
         self.model.infer(&self.params, x.clone())
     }
 
+    /// Records an evaluation-mode tape forward of `x`, returning the
+    /// session with the input's and the logits' ids.
+    fn record(&self, x: &Tensor) -> (Session, VarId, VarId) {
+        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
+        let xv = sess.input(x.clone());
+        let z = self.model.forward(&mut sess, xv);
+        (sess, xv, z)
+    }
+
     /// Records the scalar `head(C(x))` on an evaluation-mode tape and
     /// sweeps it for the input leaf alone: the attacks read `∂x`, so no
     /// weight gradient is computed. Returns the head's value, the input's
@@ -119,9 +149,7 @@ impl Net {
         x: &Tensor,
         head: impl FnOnce(&mut Tape, VarId) -> VarId,
     ) -> (f32, VarId, Gradients) {
-        let mut sess = Session::new(&self.params, Mode::Eval, Prng::new(0));
-        let xv = sess.input(x.clone());
-        let z = self.model.forward(&mut sess, xv);
+        let (mut sess, xv, z) = self.record(x);
         let out = head(&mut sess.tape, z);
         let grads = sess.tape.backward_wrt(out, &[xv]);
         (sess.tape.value(out).item(), xv, grads)
@@ -147,12 +175,37 @@ impl Classifier for Net {
     }
 
     fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor {
-        let (_, xv, mut grads) = self.input_sweep(x, |tape, z| tape.dot_const(z, weights));
-        grads
-            .take(xv)
-            // lint:allow(panic) — the weighted score is built from `xv`, so
-            // the backward sweep always reaches the input leaf.
-            .expect("input must receive a gradient")
+        let (_, mut grads) = self.logit_input_grads(x, &|_| vec![weights.clone()]);
+        // lint:allow(panic) — one weight matrix in, one gradient out.
+        grads.pop().expect("one gradient per weight matrix")
+    }
+
+    /// One tape forward of `x`, then one input-only sweep per weight
+    /// matrix from its own `dot_const` head on that tape. A sweep starts at
+    /// its head and reaches `z` only through it, so every gradient is
+    /// bit-identical to a separately recorded query; `z` is the tape's,
+    /// which equals [`Classifier::logits`] bit for bit while `x` fits one
+    /// inference chunk.
+    fn logit_input_grads(
+        &self,
+        x: &Tensor,
+        weights_of: &dyn Fn(&Tensor) -> Vec<Tensor>,
+    ) -> (Tensor, Vec<Tensor>) {
+        let (mut sess, xv, z) = self.record(x);
+        let weights = weights_of(sess.tape.value(z));
+        let grads = weights
+            .iter()
+            .map(|w| {
+                let score = sess.tape.dot_const(z, w);
+                sess.tape
+                    .backward_wrt(score, &[xv])
+                    .take(xv)
+                    // lint:allow(panic) — the weighted score is built from
+                    // `xv`, so the backward sweep always reaches the input.
+                    .expect("input must receive a gradient")
+            })
+            .collect();
+        (sess.tape.value(z).clone(), grads)
     }
 }
 
@@ -254,6 +307,73 @@ mod tests {
             1e-3,
         );
         assert!(grad.allclose(&numeric, 2e-2));
+    }
+
+    /// A classifier that forwards everything to a [`Net`] except
+    /// `logit_input_grads`, so that method runs the trait's default body.
+    struct Defaulted<'a>(&'a Net);
+
+    impl Classifier for Defaulted<'_> {
+        fn num_classes(&self) -> usize {
+            self.0.num_classes()
+        }
+        fn logits(&self, x: &Tensor) -> Tensor {
+            self.0.logits(x)
+        }
+        fn ce_input_grad(&self, x: &Tensor, targets: &Tensor) -> (f32, Tensor) {
+            self.0.ce_input_grad(x, targets)
+        }
+        fn weighted_logit_input_grad(&self, x: &Tensor, weights: &Tensor) -> Tensor {
+            self.0.weighted_logit_input_grad(x, weights)
+        }
+    }
+
+    #[test]
+    fn one_tape_logit_grads_equal_the_default_bitwise() {
+        use crate::zoo;
+        use gandef_tensor::accum::{with_accum, Accum};
+        let lenet = Net::new(zoo::lenet(1), &mut Prng::new(17));
+        let mlp = Net::new(zoo::mlp(28 * 28, 24, 10), &mut Prng::new(18));
+        // One-hot rows (DeepFool), a ±1 margin read off `z` (CW) and a
+        // dense random matrix.
+        let weights_of = |z: &Tensor| {
+            let (n, c) = (z.dim(0), z.dim(1));
+            let mut margin = Tensor::zeros(&[n, c]);
+            for (r, k) in z.argmax_rows().into_iter().enumerate() {
+                margin.set(&[r, k], 1.0);
+                margin.set(&[r, (k + 1) % c], -1.0);
+            }
+            let one_hot = one_hot(&vec![3; n], c);
+            let dense = Prng::new(19).uniform_tensor(&[n, c], -1.0, 1.0);
+            vec![one_hot, margin, dense]
+        };
+        for mode in [Accum::F32, Accum::F64] {
+            for (net, rows) in [(&lenet, 1), (&lenet, 9), (&mlp, 1), (&mlp, 33)] {
+                let x = Prng::new(20).uniform_tensor(&[rows, 1, 28, 28], -1.0, 1.0);
+                let ((z, grads), (z_ref, grads_ref)) = with_accum(mode, || {
+                    (
+                        net.logit_input_grads(&x, &weights_of),
+                        Defaulted(net).logit_input_grads(&x, &weights_of),
+                    )
+                });
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&z),
+                    bits(&z_ref),
+                    "{net:?} {rows} rows {mode:?}: logits"
+                );
+                assert_eq!(grads.len(), 3);
+                for (k, (g, g_ref)) in grads.iter().zip(&grads_ref).enumerate() {
+                    assert_eq!(g.shape(), x.shape());
+                    assert_eq!(
+                        bits(g),
+                        bits(g_ref),
+                        "{net:?} {rows} rows {mode:?}: gradient {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

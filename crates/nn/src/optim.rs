@@ -176,27 +176,24 @@ impl Optimizer for Adam {
         // f32 noticeably for small t.
         let bc1_64 = 1.0 - (self.beta1 as f64).powi(self.t as i32);
         let bc2_64 = 1.0 - (self.beta2 as f64).powi(self.t as i32);
+        let (b1, b2, lr) = (self.beta1, self.beta2, self.lr);
+        let (eps, eps_64) = (self.eps, self.eps as f64);
         for (i, g) in grads.iter().enumerate() {
             let Some(g) = g else { continue };
             let m = self.m[i].get_or_insert_with(|| Tensor::zeros(g.shape().dims()));
             let v = self.v[i].get_or_insert_with(|| Tensor::zeros(g.shape().dims()));
-            *m = m.scale(self.beta1).add(&g.scale(1.0 - self.beta1));
-            *v = v.scale(self.beta2).add(&g.square().scale(1.0 - self.beta2));
-            let update = match mode {
-                Accum::F32 => Tensor::from_fn(g.shape().dims(), |j| {
-                    let mh = m.as_slice()[j] / bc1;
-                    let vh = v.as_slice()[j] / bc2;
-                    mh / (vh.sqrt() + self.eps)
+            let w = params.value_at_mut(i);
+            match mode {
+                Accum::F32 => adam_pass(w, m, v, g, (b1, b2, lr), |m, v| {
+                    (m / bc1) / ((v / bc2).sqrt() + eps)
                 }),
                 // The rescale/sqrt/divide chain runs in f64 with a single
                 // rounding per element.
-                Accum::F64 => Tensor::from_fn(g.shape().dims(), |j| {
-                    let mh = m.as_slice()[j] as f64 / bc1_64;
-                    let vh = v.as_slice()[j] as f64 / bc2_64;
-                    (mh / (vh.sqrt() + self.eps as f64)) as f32
+                Accum::F64 => adam_pass(w, m, v, g, (b1, b2, lr), |m, v| {
+                    let (mh, vh) = (m as f64 / bc1_64, v as f64 / bc2_64);
+                    (mh / (vh.sqrt() + eps_64)) as f32
                 }),
-            };
-            params.value_at_mut(i).axpy(-self.lr, &update);
+            }
         }
     }
 
@@ -204,6 +201,41 @@ impl Optimizer for Adam {
         self.t = 0;
         self.m.clear();
         self.v.clear();
+    }
+}
+
+/// One in-place Adam pass over a parameter: per element, the moment
+/// updates `m ← β₁m + (1−β₁)g`, `v ← β₂v + (1−β₂)g²`, then
+/// `w ← w − lr·update(m, v)`, in the f32 operation order of the
+/// whole-tensor form (`m.scale(β₁).add(g.scale(1−β₁))`, …, `axpy`) so the
+/// result is bit-identical to it, without its temporaries.
+///
+/// # Panics
+///
+/// Panics if the four tensors differ in length.
+fn adam_pass(
+    w: &mut Tensor,
+    m: &mut Tensor,
+    v: &mut Tensor,
+    g: &Tensor,
+    (b1, b2, lr): (f32, f32, f32),
+    update: impl Fn(f32, f32) -> f32,
+) {
+    let (w, m, v, g) = (
+        w.as_mut_slice(),
+        m.as_mut_slice(),
+        v.as_mut_slice(),
+        g.as_slice(),
+    );
+    assert!(
+        m.len() == w.len() && v.len() == w.len() && g.len() == w.len(),
+        "Adam state and gradient must match the parameter's shape"
+    );
+    let (c1, c2, step) = (1.0 - b1, 1.0 - b2, -lr);
+    for (((w, m), v), &g) in w.iter_mut().zip(m).zip(v).zip(g) {
+        *m = *m * b1 + g * c1;
+        *v = *v * b2 + g * g * c2;
+        *w += step * update(*m, *v);
     }
 }
 

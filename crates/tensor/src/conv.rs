@@ -177,17 +177,34 @@ impl PackB for PatchColsB<'_> {
     fn pack_b_panel(&self, dst: &mut [f32], k0: usize, kc: usize, j0: usize, nr: usize) {
         let g = self.g;
         dst.fill(0.0);
+        // The panel's pixels may span several output rows: split them into
+        // one run per row once, as (first column, output pixel, length).
+        let mut runs = [(0usize, (0usize, 0usize), 0usize); NR];
+        let (mut n_runs, mut jj) = (0, 0);
+        while jj < nr {
+            let p = j0 + jj;
+            let (oy, ox) = (p / g.wo, p % g.wo);
+            let run = (nr - jj).min(g.wo - ox);
+            runs[n_runs] = (jj, (oy, ox), run);
+            n_runs += 1;
+            jj += run;
+        }
+        // Rows walk the taps in order: decode the first, then step kx,
+        // carrying into ky and ch.
+        let (mut ch, mut ky, mut kx) = g.tap(k0);
         for kk in 0..kc {
-            let tap = g.tap(k0 + kk);
             let row = &mut dst[kk * NR..(kk + 1) * NR];
-            // The panel may span several output rows: one run per row.
-            let mut jj = 0;
-            while jj < nr {
-                let p = j0 + jj;
-                let (oy, ox) = (p / g.wo, p % g.wo);
-                let run = (nr - jj).min(g.wo - ox);
-                gather_run(self.src, g, tap, (oy, ox), run, &mut row[jj..], 1);
-                jj += run;
+            for &(jj, pixel, run) in &runs[..n_runs] {
+                gather_run(self.src, g, (ch, ky, kx), pixel, run, &mut row[jj..], 1);
+            }
+            kx += 1;
+            if kx == g.kw {
+                kx = 0;
+                ky += 1;
+                if ky == g.kh {
+                    ky = 0;
+                    ch += 1;
+                }
             }
         }
     }

@@ -118,3 +118,62 @@ fn chunked_attack_equals_whole_batch_for_deterministic_attacks() {
         );
     }
 }
+
+/// FNV-1a over the `f32` bit patterns of an adversarial batch.
+fn fingerprint(t: &zk_gandef_repro::tensor::Tensor) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for v in t.as_slice() {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// Each generator's output on a fixed LeNet, batch and seed, pinned bit
+/// for bit under f64 accumulation (independent of pool size and FMA). The
+/// labels are the net's own predictions, so every row starts on the
+/// correct side and DeepFool and CW iterate over the whole batch. A change
+/// to how an attack queries the classifier — one recorded forward per
+/// DeepFool/CW iteration instead of one per query — must leave these
+/// values alone. On a mismatch the test prints the fresh table.
+#[test]
+fn attack_outputs_reproduce_their_pinned_fingerprints() {
+    use zk_gandef_repro::nn::Classifier;
+    use zk_gandef_repro::tensor::accum::{with_accum, Accum};
+    const PINNED: [(&str, u64); 5] = [
+        ("FGSM", 0x314642d45436e466),
+        ("BIM", 0x4193a69589c72710),
+        ("PGD", 0x5492cebae78fb4ef),
+        ("DeepFool", 0x75f5808059c0c6ce),
+        ("CW", 0x8d0a2c2ba5e23dd4),
+    ];
+    let ds = generate(
+        DatasetKind::SynthDigits,
+        &GenSpec {
+            train: 10,
+            test: 12,
+            seed: 8,
+        },
+    );
+    let net = classifier_for(DatasetKind::SynthDigits, &mut Prng::new(3));
+    let fresh: Vec<(&str, u64)> = with_accum(Accum::F64, || {
+        let labels = net.predict(&ds.test_x);
+        attack_set(&AttackBudget::for_28x28())
+            .iter()
+            .zip(PINNED)
+            .map(|(attack, (name, _))| {
+                assert_eq!(attack.name(), name);
+                let adv = attack.perturb(&net, &ds.test_x, &labels, &mut Prng::new(4));
+                (name, fingerprint(&adv))
+            })
+            .collect()
+    });
+    if fresh != PINNED {
+        for (name, h) in &fresh {
+            println!("        ({name:?}, {h:#018x}),");
+        }
+        panic!("attack outputs drifted from the pinned fingerprints; fresh rows above");
+    }
+}
