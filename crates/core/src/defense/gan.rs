@@ -228,7 +228,6 @@ impl Step for Minimax<'_> {
 mod tests {
     use super::super::cpu_time_ratio;
     use super::*;
-    use crate::defense::AdvTraining;
     use gandef_data::{generate, DatasetKind, GenSpec};
     use gandef_nn::Classifier;
 
@@ -324,9 +323,9 @@ mod tests {
     #[test]
     fn pgd_variant_is_slower_per_epoch() {
         // Figure 5's mechanism: PGD-GanDef pays for iterative example
-        // generation inside every batch. At 7 PGD steps the 48-unit MLP's
-        // ratio sat at 2.0–2.6, on the bar in the release profile; at 14
-        // it is about 4.2 in both profiles, so the ordering is resolved.
+        // generation inside every batch. With 14 PGD steps the ratio is
+        // about 4 in both the dev and the release profile, clear of the
+        // bar; with 7 it was within timing noise of it in release.
         let ds = digits();
         let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits);
         cfg.epochs = 2;
