@@ -206,9 +206,8 @@ impl Optimizer for Adam {
 
 /// One in-place Adam pass over a parameter: per element, the moment
 /// updates `m ← β₁m + (1−β₁)g`, `v ← β₂v + (1−β₂)g²`, then
-/// `w ← w − lr·update(m, v)`, in the f32 operation order of the
-/// whole-tensor form (`m.scale(β₁).add(g.scale(1−β₁))`, …, `axpy`) so the
-/// result is bit-identical to it, without its temporaries.
+/// `w ← w − lr·update(m, v)`. Keep each expression's f32 operation order:
+/// the golden trajectories and the resume oracles pin its bits.
 ///
 /// # Panics
 ///
