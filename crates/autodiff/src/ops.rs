@@ -488,7 +488,7 @@ impl Tape {
     /// Panics unless `0 ≤ p < 1`.
     pub fn dropout(&mut self, x: VarId, p: f32, rng: &mut Prng) -> VarId {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        // lint:allow(floatcmp) — p is a caller-passed constant tested
+        // Exact comparison on purpose: p is a caller-passed constant tested
         // against the exact sentinel 0.0 (never a computed value); the
         // identity fast path must trigger only on the literal zero.
         if p == 0.0 {

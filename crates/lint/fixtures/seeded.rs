@@ -1,7 +1,9 @@
-//! Seeded lint fixture: exactly one violation of each rule, used by the
-//! CI self-test (`scripts/ci.sh`) and the integration tests to prove the
-//! lint still detects everything it claims to. This file is never
-//! compiled — it lives outside `src/` and `tests/` on purpose.
+//! Seeded fixture for the token rules: exactly one violation of each of
+//! `safety`, `panic`, `bounds`, `knob` and `spawn`, and none of the other
+//! nine rules. With the three other `seeded_*.rs` fixtures it trips each
+//! of the fourteen rules exactly once, which the lint self-test
+//! (`crates/lint/tests/selftest.rs`) checks. This file is never compiled
+//! — it lives outside `src/` and `tests/` on purpose.
 
 /// Rule `safety`: an `unsafe` block with no SAFETY comment above it.
 pub fn seeded_safety(p: *const u8) -> u8 {

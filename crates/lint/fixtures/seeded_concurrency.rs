@@ -1,7 +1,7 @@
 //! Seeded fixture for the concurrency rules: exactly one violation of
-//! each of `shared`, `lockorder`, `atomics` and `sync`, and none of the
-//! other nine rules. Linted (never compiled) by the CI self-test
-//! alongside `seeded.rs` and `seeded_semantic.rs`.
+//! each of `shared`, `atomics` and `sync`, and none of the other eleven
+//! rules. Linted (never compiled) by the lint self-test alongside
+//! `seeded.rs`, `seeded_semantic.rs` and `seeded_determinism.rs`.
 
 /// Rule `shared`: a `static mut` — always a violation, even documented.
 pub static mut SEEDED_SHARED: usize = 0;
@@ -15,36 +15,6 @@ pub static SEEDED_COUNTER: AtomicUsize = AtomicUsize::new(0);
 /// this doc comment would itself suppress the seeded site).
 pub fn seeded_atomics() -> usize {
     SEEDED_COUNTER.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Two documented locks so the lock-order fns have something to invert.
-pub struct SeededPair {
-    /// First lock in the blessed order.
-    alpha: Mutex<u32>,
-    /// Second lock in the blessed order.
-    beta: Mutex<u32>,
-}
-
-/// Poison-transparent lock helper (same idiom as pool/serve) so the
-/// acquisitions below parse as lock sites without tripping rule `panic`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Rule `lockorder`, first half: alpha then beta.
-pub fn seeded_lockorder_ab(p: &SeededPair) -> u32 {
-    let a = lock(&p.alpha);
-    let b = lock(&p.beta);
-    *a + *b
-}
-
-/// Rule `lockorder`, second half: beta then alpha — with the fn above,
-/// the acquisition graph has an alpha/beta cycle (one violation, at the
-/// first nested acquisition in file order).
-pub fn seeded_lockorder_ba(p: &SeededPair) -> u32 {
-    let b = lock(&p.beta);
-    let a = lock(&p.alpha);
-    *b - *a
 }
 
 /// Rule `sync`: the SAFETY comment satisfies rule `safety` but cites

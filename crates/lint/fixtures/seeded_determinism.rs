@@ -1,21 +1,7 @@
 //! Seeded fixture for the determinism rules: exactly one violation of
-//! each of `reduce`, `nondet`, `errprop` and `floatcmp`, and none of the
-//! other thirteen rules. Linted (never compiled) by the CI self-test
-//! alongside `seeded.rs`, `seeded_semantic.rs` and
-//! `seeded_concurrency.rs`.
-
-/// Rule `reduce`: a captured float accumulator mutated inside a closure
-/// handed to the worker pool — the combine order follows scheduling, and
-/// the fn neither samples the `Accum` mode nor uses a per-worker local.
-pub fn seeded_reduce(xs: &[f32]) -> f32 {
-    let mut total: f32 = 0.0;
-    parallel_for(xs.len(), 64, |r| {
-        for i in r {
-            total += xs[i];
-        }
-    });
-    total
-}
+//! each of `nondet` and `errprop`, and none of the other twelve rules.
+//! Linted (never compiled) by the lint self-test alongside `seeded.rs`,
+//! `seeded_semantic.rs` and `seeded_concurrency.rs`.
 
 /// Rule `nondet`: a wall-clock read feeding a returned value in a
 /// numeric path (fixtures count as numeric-path scope).
@@ -29,8 +15,3 @@ pub fn seeded_errprop(path: &str) {
     let _ = std::fs::remove_file(path);
 }
 
-/// Rule `floatcmp`: exact equality on float operands with no exactness
-/// justification.
-pub fn seeded_floatcmp(a: f32, b: f32) -> bool {
-    a == b
-}

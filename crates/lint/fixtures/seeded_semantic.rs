@@ -1,8 +1,8 @@
 //! Seeded fixture for the parse-tree rules: exactly one violation of each
-//! of `alloc`, `cast`, `grad` and `shape`, and none of the token rules.
-//! Linted (never compiled) by the CI self-test alongside `seeded.rs`;
-//! fixture paths count as hot-path/grad/shape scope so every semantic
-//! rule can fire here.
+//! of `alloc`, `cast`, `grad` and `shape`, and none of the other ten
+//! rules. Linted (never compiled) by the lint self-test alongside the
+//! other `seeded_*.rs` fixtures; fixture paths count as hot-path/grad/shape
+//! scope so every semantic rule can fire here.
 
 /// Rule `alloc`: a per-iteration heap allocation inside a loop body.
 pub fn seeded_alloc(n: usize, s: &[f32]) -> f32 {

@@ -24,7 +24,7 @@
 //! `debug_assert!` is excluded (compiled out of release builds, which is
 //! what the paper's timing harness runs). The report lists every public
 //! fn from which some panic site is transitively reachable, with one
-//! shortest witness path; `scripts/ci.sh` regenerates it and diffs
+//! shortest witness path; the `panics_report_is_in_sync` test diffs it
 //! against the checked-in `docs/PANICS.md`, so any *new* public panic
 //! path fails the build until it is reviewed and committed.
 
@@ -268,9 +268,9 @@ pub fn panic_report(files: &[(String, String)]) -> String {
     out.push_str(
         "**Generated file — do not edit by hand.** Regenerate with\n\
          `./target/release/gandef-lint --panics docs/PANICS.md` after any\n\
-         change that adds or removes a panic path; `scripts/ci.sh` diffs\n\
-         this file against a fresh run and fails on drift, so every new\n\
-         public panic path is reviewed in the PR that introduces it.\n\n\
+         change that adds or removes a panic path; the lint self-test\n\
+         diffs this file against a fresh run and fails on drift, so every\n\
+         new public panic path is reviewed in the PR that introduces it.\n\n\
          A *panic site* is an unannotated `assert!`-family, `panic!`,\n\
          `unreachable!`, `todo!` or `unimplemented!` macro, or an\n\
          `.unwrap()`/`.expect()` call (`debug_assert!` is compiled out of\n\

@@ -5,7 +5,7 @@
 //! third-party lint frameworks as enforcement mechanisms for our own
 //! invariants. This crate is the in-repo replacement: a small hand-rolled
 //! Rust tokenizer ([`lexer`]), a structural item/call parser ([`parser`])
-//! and seventeen named rules ([`rules`]) that encode the repo's
+//! and fourteen named rules ([`rules`]) that encode the repo's
 //! unsafe-surface, robustness, hot-path, concurrency and determinism
 //! policy:
 //!
@@ -19,35 +19,30 @@
 //! 8. **grad** — every tape push registers a backward closure;
 //! 9. **shape** — public tensor fns assert shapes before indexing;
 //! 10. **shared** — no `static mut`; shared-state slots carry comments;
-//! 11. **lockorder** — the lock-acquisition-order graph stays acyclic;
-//! 12. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
+//! 11. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
 //!     their partner site;
-//! 13. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
-//! 14. **reduce** — no scheduling-ordered float accumulation in closures
-//!     handed to the worker pool;
-//! 15. **nondet** — no nondeterminism sources (map iteration, wall
+//! 12. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
+//! 13. **nondet** — no nondeterminism sources (map iteration, wall
 //!     clock, non-`Prng` RNG) in numeric paths;
-//! 16. **errprop** — no silently dropped `Result` in library code;
-//! 17. **floatcmp** — no exact `==`/`!=` on float operands.
+//! 14. **errprop** — no silently dropped `Result` in library code.
 //!
 //! On top of the same parser, [`callgraph`] computes **panic
 //! reachability** for the public API; `docs/PANICS.md` is the checked-in
-//! report and `scripts/ci.sh` fails on drift. The concurrency rules
-//! additionally feed a shared-state inventory + lock-order report,
-//! checked in as `docs/CONCURRENCY.md`, and the determinism rules feed a
-//! per-API determinism classification, checked in as
-//! `docs/DETERMINISM.md` — both under the same drift gate. Run as
-//! `gandef-lint` (no arguments) from the workspace root; see
-//! `docs/LINT.md` for the rule reference and `scripts/ci.sh` for the CI
-//! wiring, including the seeded-fixture self-test that proves the lint
-//! still detects every rule.
+//! report. The concurrency rules additionally feed a shared-state
+//! inventory, checked in as `docs/CONCURRENCY.md`, and the determinism
+//! rules feed a per-API determinism classification, checked in as
+//! `docs/DETERMINISM.md`. Each report has an in-sync test that fails on
+//! drift. Run as `gandef-lint` (no arguments) from the workspace root;
+//! see `docs/LINT.md` for the rule reference and `tests/selftest.rs` for
+//! the seeded-fixture self-test that proves the lint still detects every
+//! rule.
 
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 
-use rules::concurrency::{self, FileConc};
+use rules::concurrency;
 use rules::{check_file, FileReport, KnobRead, ParseError, Rule, Violation};
 use std::collections::BTreeMap;
 use std::io;
@@ -115,18 +110,12 @@ pub fn run(cfg: &Config) -> io::Result<Outcome> {
     let mut parse_errors = Vec::new();
     let mut reads: Vec<KnobRead> = Vec::new();
     let mut timings = Vec::with_capacity(files.len());
-    let mut fn_locks = Vec::new();
     for (display, report, ms) in check_files_parallel(&files, &cfg.root)? {
         violations.extend(report.violations);
         parse_errors.extend(report.parse_error);
         reads.extend(report.knob_reads);
-        fn_locks.extend(report.conc.fn_locks);
         timings.push((display, ms));
     }
-
-    // Rule `lockorder` is interprocedural: the acquisition-order graph
-    // only exists once every file's per-fn lock facts are aggregated.
-    violations.extend(concurrency::lock_order_violations(&fn_locks));
 
     // Rule `knob`, read direction: every GANDEF_* env read must be a
     // registry row.
@@ -334,12 +323,12 @@ pub fn panic_report(cfg: &Config) -> io::Result<String> {
 }
 
 /// Generates the concurrency report — shared-state inventory, `unsafe
-/// impl` audit, atomic-ordering table and lock-acquisition-order graph —
-/// over the workspace's library sources. Deterministic (file walk order,
-/// sorted graph) and intended to be written to `docs/CONCURRENCY.md`.
+/// impl` audit and atomic-ordering table — over the workspace's library
+/// sources. Deterministic (file walk order) and intended to be written
+/// to `docs/CONCURRENCY.md`.
 pub fn concurrency_report(cfg: &Config) -> io::Result<String> {
     let files = workspace_sources(&cfg.root)?;
-    let mut inputs: Vec<(String, FileConc)> = Vec::new();
+    let mut inputs = Vec::new();
     for path in &files {
         let display = display_path(path, &cfg.root);
         if !is_lib_code(&display) {
@@ -348,8 +337,8 @@ pub fn concurrency_report(cfg: &Config) -> io::Result<String> {
         let src = std::fs::read_to_string(path)
             .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         let report = check_file(&display, &src, true);
-        if !(report.conc.inventory.is_empty() && report.conc.fn_locks.is_empty()) {
-            inputs.push((display, report.conc));
+        if !report.inventory.is_empty() {
+            inputs.push((display, report.inventory));
         }
     }
     Ok(concurrency::render_report(&inputs))
@@ -506,7 +495,7 @@ mod tests {
                 file: r"crates\lint\src\lib.rs".to_string(),
                 line: 3,
                 col: 7,
-                rule: rules::Rule::Floatcmp,
+                rule: rules::Rule::Nondet,
                 message: "`==` on `\"x\"` operand\twith\ntab and newline".to_string(),
             }],
             parse_errors: vec![rules::ParseError {

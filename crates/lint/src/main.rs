@@ -18,7 +18,7 @@ const USAGE: &str = "usage: gandef-lint [--root DIR] [--knobs FILE] [--format te
                       exceeds 3x the baseline — the CI perf regression gate\n\
   --panics FILE       write the panic-reachability report (docs/PANICS.md)\n\
                       to FILE instead of linting\n\
-  --concurrency FILE  write the shared-state + lock-order report\n\
+  --concurrency FILE  write the shared-state inventory report\n\
                       (docs/CONCURRENCY.md) to FILE instead of linting\n\
   --determinism FILE  write the per-API determinism classification\n\
                       (docs/DETERMINISM.md) to FILE instead of linting\n\

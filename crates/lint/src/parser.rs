@@ -816,8 +816,8 @@ impl P<'_> {
                             }
                         }
                         // An unsuffixed float literal (`let s = 0.0;`)
-                        // is some float type; tag it `f32` so the
-                        // determinism rules see a float binding.
+                        // is some float type; tag it `f32` so the symbol
+                        // table records a float binding.
                         if ty.is_empty() && h.text.contains('.') {
                             ty = "f32".to_string();
                         }
@@ -838,271 +838,6 @@ impl P<'_> {
         }
         out
     }
-}
-
-/// A compound assignment `lvalue op= rhs` (`+=`, `-=`, `*=`, `/=`).
-///
-/// The lexer emits `+=` as two adjacent `Punct` tokens;
-/// [`find_compound_assigns`] re-fuses them (same line, touching columns)
-/// and tracks the written-to lvalue back through index brackets, field
-/// projections and a leading dereference — the "lvalue tracking through
-/// compound assignment" the determinism rules need.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompoundAssign {
-    /// Root identifier of the lvalue: `total` for `total +=`, `data` for
-    /// `data[i] +=` or `data[i].0 +=`, `v` for `*v +=`. Empty when the
-    /// lvalue has no identifier root (e.g. `f()[i] += x`).
-    pub lvalue: String,
-    /// The operator character (`'+'`, `'-'`, `'*'`, `'/'`).
-    pub op: char,
-    /// True when the lvalue is written through a leading `*` deref.
-    pub deref: bool,
-    /// True when the lvalue contains an index expression (`x[i] += …`).
-    pub indexed: bool,
-    /// 1-based line of the operator.
-    pub line: usize,
-    /// 1-based column of the operator.
-    pub col: usize,
-    /// Code-token index of the operator (same numbering as
-    /// [`Site::idx`]).
-    pub idx: usize,
-}
-
-/// Finds every compound assignment in the token stream. See
-/// [`CompoundAssign`].
-pub fn find_compound_assigns(toks: &[Token]) -> Vec<CompoundAssign> {
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let ct = |q: usize| &toks[code[q]];
-    let mut out = Vec::new();
-    for q in 1..code.len().saturating_sub(1) {
-        let op = match ct(q).kind {
-            TokKind::Punct(c @ ('+' | '-' | '*' | '/')) => c,
-            _ => continue,
-        };
-        let eq = ct(q + 1);
-        let fused = eq.is_punct('=') && eq.line == ct(q).line && eq.col == ct(q).col + 1;
-        // `==` after the op would make this a malformed `+==`; require a
-        // plain single `=` so comparison operators can never match.
-        let not_cmp = q + 2 >= code.len() || !ct(q + 2).is_punct('=');
-        if !fused || !not_cmp {
-            continue;
-        }
-        let (lvalue, deref, indexed) = walk_lvalue(&code, toks, q);
-        out.push(CompoundAssign {
-            lvalue,
-            op,
-            deref,
-            indexed,
-            line: ct(q).line,
-            col: ct(q).col,
-            idx: q,
-        });
-    }
-    out
-}
-
-/// Walks the lvalue expression ending just before code-index `op_idx`
-/// backwards: index groups, `.field`/`.0` projections, `::` paths, then
-/// an optional leading `*` deref. Returns `(root ident, deref, indexed)`.
-fn walk_lvalue(code: &[usize], toks: &[Token], op_idx: usize) -> (String, bool, bool) {
-    let ct = |q: usize| &toks[code[q]];
-    let mut indexed = false;
-    let mut deref = false;
-    let mut root = String::new();
-    let mut cur = op_idx;
-    while cur > 0 {
-        cur -= 1;
-        match ct(cur).kind {
-            TokKind::Punct(']') => {
-                indexed = true;
-                let mut depth = 0i32;
-                while cur > 0 {
-                    match ct(cur).kind {
-                        TokKind::Punct(']') => depth += 1,
-                        TokKind::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    cur -= 1;
-                }
-                // Loop back to consume whatever the `[` indexes.
-            }
-            TokKind::Ident | TokKind::Num => {
-                if ct(cur).kind == TokKind::Ident {
-                    root = ct(cur).text.clone();
-                }
-                if cur >= 1 && ct(cur - 1).is_punct('.') {
-                    cur -= 1; // keep walking the projection chain
-                    continue;
-                }
-                if cur >= 2 && ct(cur - 1).is_punct(':') && ct(cur - 2).is_punct(':') {
-                    cur -= 2;
-                    continue;
-                }
-                if cur >= 1 && ct(cur - 1).is_punct('*') {
-                    // `*x += …` is a deref write only when the `*` cannot
-                    // be a multiplication (no operand before it).
-                    let operand_before = cur >= 2
-                        && (matches!(ct(cur - 2).kind, TokKind::Ident | TokKind::Num)
-                            || ct(cur - 2).is_punct(')')
-                            || ct(cur - 2).is_punct(']'));
-                    if !operand_before {
-                        deref = true;
-                    }
-                }
-                break;
-            }
-            _ => break,
-        }
-    }
-    (root, deref, indexed)
-}
-
-/// A closure argument of a named call — the "closure-argument
-/// attribution" behind the `reduce` rule's *inside a closure passed to
-/// `pool::parallel_*`* scoping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClosureArg {
-    /// The called name (`parallel_for`, `parallel_tasks`, …).
-    pub callee: String,
-    /// 1-based line of the call.
-    pub line: usize,
-    /// 1-based column of the call.
-    pub col: usize,
-    /// Code-index span (inclusive) of the closure body: the brace block,
-    /// or the expression up to the next top-level `,`/closing `)`.
-    pub body: (usize, usize),
-}
-
-/// Finds, for every call to a function named in `callees` (bare or
-/// path-qualified — the last path segment is what matches), the spans of
-/// its top-level closure arguments. A closure argument is one whose
-/// first token is `|` (optionally after `move`). Nested calls inside a
-/// closure body are scanned too, each yielding its own entry.
-pub fn closure_args_of_calls(toks: &[Token], callees: &[&str]) -> Vec<ClosureArg> {
-    let code: Vec<usize> = (0..toks.len())
-        .filter(|&i| toks[i].kind != TokKind::Comment)
-        .collect();
-    let ct = |q: usize| &toks[code[q]];
-    let mut out = Vec::new();
-    for q in 0..code.len() {
-        let t = ct(q);
-        if t.kind != TokKind::Ident || !callees.contains(&t.text.as_str()) {
-            continue;
-        }
-        if q + 1 >= code.len() || !ct(q + 1).is_punct('(') {
-            continue;
-        }
-        let open = q + 1;
-        let close = matching_close(&code, toks, open, '(', ')');
-        let mut r = open + 1;
-        let mut depth = 0i32;
-        let mut arg_head = true;
-        while r < close {
-            let tok = ct(r);
-            if depth == 0 && arg_head {
-                if tok.is_ident("move") {
-                    r += 1;
-                    continue;
-                }
-                if tok.is_punct('|') {
-                    let params_end = closure_params_end(&code, toks, r, close);
-                    let mut b = params_end + 1;
-                    if b + 1 < close && ct(b).is_punct('-') && ct(b + 1).is_punct('>') {
-                        b += 2;
-                        while b < close && !ct(b).is_punct('{') {
-                            b += 1;
-                        }
-                    }
-                    let (body, next) = if b < close && ct(b).is_punct('{') {
-                        let end = matching_close(&code, toks, b, '{', '}');
-                        ((b, end), end + 1)
-                    } else {
-                        let mut d = 0i32;
-                        let mut e = b;
-                        while e < close {
-                            match ct(e).kind {
-                                TokKind::Punct('(' | '[' | '{') => d += 1,
-                                TokKind::Punct(')' | ']' | '}') => d -= 1,
-                                TokKind::Punct(',') if d == 0 => break,
-                                _ => {}
-                            }
-                            e += 1;
-                        }
-                        ((b, e.saturating_sub(1)), e)
-                    };
-                    out.push(ClosureArg {
-                        callee: t.text.clone(),
-                        line: t.line,
-                        col: t.col,
-                        body,
-                    });
-                    arg_head = false;
-                    r = next;
-                    continue;
-                }
-                arg_head = false;
-            }
-            match tok.kind {
-                TokKind::Punct('(' | '[' | '{') => depth += 1,
-                TokKind::Punct(')' | ']' | '}') => depth -= 1,
-                TokKind::Punct(',') if depth == 0 => arg_head = true,
-                _ => {}
-            }
-            r += 1;
-        }
-    }
-    out
-}
-
-/// Code-index of the `|` closing the closure-parameter list opened at
-/// `open` (bracket groups inside parameter types are skipped).
-fn closure_params_end(code: &[usize], toks: &[Token], open: usize, limit: usize) -> usize {
-    let ct = |q: usize| &toks[code[q]];
-    let mut d = 0i32;
-    let mut s = open + 1;
-    while s < limit {
-        match ct(s).kind {
-            TokKind::Punct('(' | '[' | '{') => d += 1,
-            TokKind::Punct(')' | ']' | '}') => d -= 1,
-            TokKind::Punct('|') if d == 0 => return s,
-            _ => {}
-        }
-        s += 1;
-    }
-    open
-}
-
-/// Code-index of the closer matching the `opener` at code-index `open`.
-/// Unbalanced input yields the last code token (analysis keeps going).
-fn matching_close(
-    code: &[usize],
-    toks: &[Token],
-    open: usize,
-    opener: char,
-    closer: char,
-) -> usize {
-    let ct = |q: usize| &toks[code[q]];
-    let mut depth = 0i32;
-    for p in open..code.len() {
-        match ct(p).kind {
-            TokKind::Punct(c) if c == opener => depth += 1,
-            TokKind::Punct(c) if c == closer => {
-                depth -= 1;
-                if depth == 0 {
-                    return p;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len().saturating_sub(1)
 }
 
 #[cfg(test)]
@@ -1317,54 +1052,6 @@ mod tests {
         assert_eq!(lets.len(), 2, "{lets:?}");
         assert_eq!(lets[0], ("s".to_string(), "f32".to_string()));
         assert_eq!(lets[1], ("x".to_string(), "f32".to_string()));
-    }
-
-    #[test]
-    fn compound_assign_lvalues_in_nested_closures() {
-        // Regression: the lvalue must be tracked through projections and
-        // index brackets even when the assignment sits two closures deep,
-        // and comparison/range/arrow operators must never fuse.
-        let toks = lex("fn f() {\n\
-             parallel_for(n, 64, |r| {\n\
-                 r.for_each(|i| {\n\
-                     total += xs[i];\n\
-                     grid[i][j] -= 1.0;\n\
-                     s.count.1 *= 2.0;\n\
-                     *slot /= k;\n\
-                 });\n\
-             });\n\
-             if a == b || a <= b {}\n\
-             for _ in 0..=n {}\n\
-             let g: fn() -> f32 = h;\n}");
-        let cas = find_compound_assigns(&toks);
-        assert_eq!(cas.len(), 4, "{cas:?}");
-        assert_eq!((cas[0].lvalue.as_str(), cas[0].op), ("total", '+'));
-        assert!(!cas[0].indexed && !cas[0].deref);
-        assert_eq!((cas[1].lvalue.as_str(), cas[1].op), ("grid", '-'));
-        assert!(cas[1].indexed);
-        assert_eq!((cas[2].lvalue.as_str(), cas[2].op), ("s", '*'));
-        assert_eq!((cas[3].lvalue.as_str(), cas[3].op), ("slot", '/'));
-        assert!(cas[3].deref);
-    }
-
-    #[test]
-    fn closure_args_attribute_bodies_to_the_right_call() {
-        let toks = lex("fn f() {\n\
-             pool::parallel_for(n, 64, move |r| { work(r); });\n\
-             parallel_tasks(tasks, |t| t.run(), other);\n\
-             not_a_pool(|x| x);\n}");
-        let args = closure_args_of_calls(&toks, &["parallel_for", "parallel_tasks"]);
-        assert_eq!(args.len(), 2, "{args:?}");
-        assert_eq!(args[0].callee, "parallel_for");
-        assert_eq!(args[1].callee, "parallel_tasks");
-        // The brace body spans `{ work(r); }`; the expression body spans
-        // `t.run()` up to (not including) the trailing `, other`.
-        let (b0, e0) = args[0].body;
-        let (b1, e1) = args[1].body;
-        assert!(e0 > b0 && e1 > b1);
-        let code: Vec<&Token> = toks.iter().filter(|t| t.kind != TokKind::Comment).collect();
-        assert!(code[b0].is_punct('{') && code[e0].is_punct('}'));
-        assert!(code[b1].is_ident("t") && code[e1].is_punct(')'));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Concurrency-soundness rules and the shared-state inventory.
 //!
-//! Four rules, all scoped to library code (plus the seeded fixtures):
+//! Three rules, all scoped to library code (plus the seeded fixtures):
 //!
 //! * `shared` — no `static mut`, ever; every other shared-state slot (a
 //!   `static` of a sync type — `Atomic*`, `Mutex`, `RwLock`, `OnceLock`,
@@ -9,16 +9,6 @@
 //!   quoted verbatim in the `docs/CONCURRENCY.md` inventory, so an
 //!   undocumented slot is both a rule violation and a hole in the
 //!   checked-in audit.
-//! * `lockorder` — the interprocedural lock-acquisition-order graph must
-//!   be acyclic. Acquisition sites are `lock(&path.to.field)` helper
-//!   calls (the workspace idiom for poison-transparent locking) and
-//!   zero-argument `.lock()`/`.read()`/`.write()` method calls; the lock
-//!   identity is the final field name, namespaced by crate. A `let`-bound
-//!   guard is held to the end of its enclosing block; a temporary guard
-//!   (`*lock(&x) = …`, `lock(&x).clone()`) only to the end of its
-//!   statement. While a guard is held, further acquisitions add direct
-//!   edges and calls add edges to everything the callee may transitively
-//!   acquire (resolution mirrors [`crate::callgraph`]).
 //! * `atomics` — every `Ordering::Relaxed` (or `SeqCst`) use needs a
 //!   `lint:allow(atomics) — <why a stale read is safe>` annotation, and
 //!   every `Ordering::Acquire`/`Release`/`AcqRel` use needs a comment in
@@ -29,11 +19,9 @@
 //!   parsed from the same file (or `T` itself when `T` has no named
 //!   fields), so the soundness argument names the state it covers.
 
-use super::{suppressed_at, FileCtx, FileReport, Rule, Violation};
-use crate::callgraph::STD_METHODS;
+use super::{FileCtx, FileReport, Rule, Violation};
 use crate::lexer::{TokKind, Token};
-use crate::parser::Parsed;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Sync-primitive type names whose `static`s count as shared state.
 const SYNC_TYPES: &[&str] = &[
@@ -75,73 +63,10 @@ pub struct InvEntry {
     pub note: String,
 }
 
-/// One lock-acquisition site: `(lock id, line, col)`.
-#[derive(Debug, Clone)]
-pub struct LockAcq {
-    /// Crate-namespaced lock identity, e.g. `tensor/slot`.
-    pub lock: String,
-    /// 1-based source line of the acquisition.
-    pub line: usize,
-    /// 1-based source column of the acquisition.
-    pub col: usize,
-}
-
-/// A call made while a guard is held.
-#[derive(Debug, Clone)]
-pub struct CallUnder {
-    /// The held lock's identity.
-    pub held: String,
-    /// Line/column of the call site (the `lockorder` witness).
-    pub line: usize,
-    /// Column of the call site.
-    pub col: usize,
-    /// Callee name.
-    pub name: String,
-    /// True for `.name(...)` method syntax.
-    pub method: bool,
-    /// `Recv::name(...)` receiver path segment, if any.
-    pub recv: Option<String>,
-    /// True if the site carries a `lint:allow(lockorder)` annotation.
-    pub suppressed: bool,
-}
-
-/// Lock-relevant facts about one function, for the cross-file pass.
-#[derive(Debug, Clone)]
-pub struct FnLocks {
-    /// Display path of the defining file.
-    pub file: String,
-    /// Bare fn name.
-    pub name: String,
-    /// Impl-qualified name (`Pool::run`).
-    pub qual: String,
-    /// True if the fn takes `self`.
-    pub has_self: bool,
-    /// Locks acquired directly in this fn.
-    pub acquires: Vec<LockAcq>,
-    /// Direct nested acquisitions: `(outer, inner-acquisition,
-    /// suppressed)`.
-    pub nested: Vec<(String, LockAcq, bool)>,
-    /// Calls made while a guard is held.
-    pub calls_under: Vec<CallUnder>,
-    /// Every call in the fn: `(name, method?, receiver)`. The
-    /// may-acquire fixpoint propagates through all of these — a callee
-    /// two hops away can still take a lock on this fn's behalf.
-    pub calls: Vec<(String, bool, Option<String>)>,
-}
-
-/// Per-file concurrency facts, carried on [`FileReport`].
-#[derive(Debug, Default)]
-pub struct FileConc {
-    /// Inventory rows, in source order.
-    pub inventory: Vec<InvEntry>,
-    /// Per-fn lock facts for the `lockorder` pass.
-    pub fn_locks: Vec<FnLocks>,
-}
-
-/// Runs the per-file concurrency rules and collects inventory + lock
-/// facts. Library code and the seeded fixtures only; `#[cfg(test)]`
-/// spans are exempt.
-pub(super) fn check(ctx: &FileCtx<'_>, parsed: &Parsed, report: &mut FileReport) {
+/// Runs the per-file concurrency rules and collects the inventory.
+/// Library code and the seeded fixtures only; `#[cfg(test)]` spans are
+/// exempt.
+pub(super) fn check(ctx: &FileCtx<'_>, report: &mut FileReport) {
     if !(ctx.is_lib || super::semantic::is_fixture(ctx.file)) {
         return;
     }
@@ -149,7 +74,6 @@ pub(super) fn check(ctx: &FileCtx<'_>, parsed: &Parsed, report: &mut FileReport)
     c.rule_shared(report);
     c.rule_atomics(report);
     c.rule_sync(report);
-    c.collect_locks(parsed, report);
 }
 
 struct Conc<'a, 'b> {
@@ -232,18 +156,6 @@ impl Conc<'_, '_> {
             .find(|l| !l.is_empty())
     }
 
-    /// The crate-namespace prefix for lock identities in this file, so a
-    /// `queue` field in `serve` can never alias one in `tensor`.
-    fn lock_ns(&self) -> String {
-        let p = self.ctx.file.replace('\\', "/");
-        if let Some(rest) = p.split("crates/").nth(1) {
-            if let Some(krate) = rest.split('/').next() {
-                return krate.to_string();
-            }
-        }
-        "root".to_string()
-    }
-
     // ------------------------------------------------------------------
     // Rule: shared
     // ------------------------------------------------------------------
@@ -251,8 +163,7 @@ impl Conc<'_, '_> {
     /// `static mut` is always a violation; sync-typed `static`s and
     /// `thread_local!` slots must carry a describing comment. Both are
     /// collected as inventory rows, as are sync-typed struct fields
-    /// (which need no comment of their own — their guard discipline is
-    /// what the lock rules check).
+    /// (which need no comment of their own).
     fn rule_shared(&self, report: &mut FileReport) {
         let tl_spans = self.thread_local_spans();
         for p in 0..self.n_code() {
@@ -289,7 +200,7 @@ impl Conc<'_, '_> {
                 continue; // plain const-like static: not shared state
             }
             let excerpt = self.window_excerpt(p);
-            report.conc.inventory.push(InvEntry {
+            report.inventory.push(InvEntry {
                 kind,
                 name: name.clone(),
                 ty: ty.clone(),
@@ -375,7 +286,7 @@ impl Conc<'_, '_> {
                         .any(|w| w == *s)
                 });
                 if sync_typed {
-                    report.conc.inventory.push(InvEntry {
+                    report.inventory.push(InvEntry {
                         kind: "field",
                         name: format!("{struct_name}.{fname}"),
                         ty: fty,
@@ -530,7 +441,7 @@ impl Conc<'_, '_> {
             } else {
                 String::new()
             };
-            report.conc.inventory.push(InvEntry {
+            report.inventory.push(InvEntry {
                 kind: "ordering",
                 name: format!("Ordering::{ord}"),
                 ty: String::new(),
@@ -675,7 +586,7 @@ impl Conc<'_, '_> {
                     format!("the type name `{ty}`"),
                 ),
             };
-            report.conc.inventory.push(InvEntry {
+            report.inventory.push(InvEntry {
                 kind: "unsafe impl",
                 name: format!("{which} for {ty}"),
                 ty: String::new(),
@@ -693,228 +604,6 @@ impl Conc<'_, '_> {
                     ),
                 );
             }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Lock-site collection (rule `lockorder` runs cross-file in lib.rs)
-    // ------------------------------------------------------------------
-
-    /// Finds lock acquisitions, guard scopes, nested acquisitions and
-    /// calls-under-lock for every non-test fn, recording them on the
-    /// report for the workspace-level cycle check.
-    fn collect_locks(&self, parsed: &Parsed, report: &mut FileReport) {
-        let ns = self.lock_ns();
-        let brace_spans = self.brace_spans();
-        for f in parsed.fns.iter().filter(|f| !f.in_test) {
-            let Some((body_start, body_end)) = f.body else {
-                continue;
-            };
-            let mut fl = FnLocks {
-                file: self.ctx.file.to_string(),
-                name: f.name.clone(),
-                qual: f.qual.clone(),
-                has_self: f.has_self,
-                acquires: Vec::new(),
-                nested: Vec::new(),
-                calls_under: Vec::new(),
-                calls: Vec::new(),
-            };
-            // (lock id, guard scope end) for each acquisition, in order.
-            let mut scopes: Vec<(LockAcq, usize)> = Vec::new();
-            for p in body_start..=body_end.min(self.n_code().saturating_sub(1)) {
-                let Some((lock, close)) = self.acquisition_at(p, f) else {
-                    continue;
-                };
-                let acq = LockAcq {
-                    lock: format!("{ns}/{lock}"),
-                    line: self.ct(p).line,
-                    col: self.ct(p).col,
-                };
-                let scope_end = self.guard_scope_end(p, close, &brace_spans, body_end);
-                for (outer, outer_end) in &scopes {
-                    if p <= *outer_end {
-                        fl.nested.push((
-                            outer.lock.clone(),
-                            acq.clone(),
-                            self.suppressed(p, Rule::Lockorder),
-                        ));
-                    }
-                }
-                scopes.push((acq.clone(), scope_end));
-                fl.acquires.push(acq);
-            }
-            // Calls while any guard is held.
-            for s in &f.sites {
-                let crate::parser::SiteKind::Call {
-                    name, method, recv, ..
-                } = &s.kind
-                else {
-                    continue;
-                };
-                if name == "lock" && !*method {
-                    continue; // the acquisition itself
-                }
-                fl.calls.push((name.clone(), *method, recv.clone()));
-                for (acq, end) in &scopes {
-                    // Anything after the acquisition and before its scope
-                    // end runs under the guard.
-                    if s.idx <= *end && self.site_after_acq(s.idx, acq) {
-                        fl.calls_under.push(CallUnder {
-                            held: acq.lock.clone(),
-                            line: s.line,
-                            col: s.col,
-                            name: name.clone(),
-                            method: *method,
-                            recv: recv.clone(),
-                            suppressed: suppressed_at(&self.ctx.comments, s.line, Rule::Lockorder)
-                                || suppressed_at(&self.ctx.comments, s.stmt_line, Rule::Lockorder),
-                        });
-                    }
-                }
-            }
-            // Every fn participates in resolution — a lock-free fn can
-            // still be the callee a `calls_under` edge resolves to.
-            report.conc.fn_locks.push(fl);
-        }
-    }
-
-    /// True if code-index `idx` is positioned after the acquisition
-    /// `acq` in source order.
-    fn site_after_acq(&self, idx: usize, acq: &LockAcq) -> bool {
-        let t = self.ct(idx);
-        (t.line, t.col) > (acq.line, acq.col)
-    }
-
-    /// All `{…}` spans in the file, for block-scope lookup.
-    fn brace_spans(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut stack = Vec::new();
-        for p in 0..self.n_code() {
-            match self.ct(p).kind {
-                TokKind::Punct('{') => stack.push(p),
-                TokKind::Punct('}') => {
-                    if let Some(s) = stack.pop() {
-                        out.push((s, p));
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// If code-index `p` is a lock acquisition, returns the lock's field
-    /// name and the code-index of the call's closing `)`.
-    ///
-    /// Two shapes: the workspace `lock(&path.to.field)` helper (free
-    /// call named `lock`), and zero-argument `.lock()`/`.read()`/
-    /// `.write()` method calls on a named receiver. Receivers that are
-    /// fn parameters are skipped — a generic passthrough helper acquires
-    /// its *caller's* lock, which the caller's own `lock(&…)` site
-    /// already records.
-    fn acquisition_at(&self, p: usize, f: &crate::parser::FnDef) -> Option<(String, usize)> {
-        let t = self.ct(p);
-        if t.kind != TokKind::Ident {
-            return None;
-        }
-        let next_is_paren = p + 1 < self.n_code() && self.ct(p + 1).is_punct('(');
-        if !next_is_paren {
-            return None;
-        }
-        let prev = (p > 0).then(|| self.ct(p - 1));
-        let is_method = prev.as_ref().is_some_and(|t| t.is_punct('.'));
-        let is_def = prev.as_ref().is_some_and(|t| t.is_ident("fn"));
-        if t.text == "lock" && !is_method && !is_def {
-            // Free helper: lock name = last field ident in the argument.
-            let close = self.paren_close(p + 1);
-            let last_ident = (p + 2..close)
-                .rev()
-                .map(|q| self.ct(q))
-                .find(|t| t.kind == TokKind::Ident && t.text != "self")?;
-            return Some((last_ident.text.clone(), close));
-        }
-        if matches!(t.text.as_str(), "lock" | "read" | "write") && is_method {
-            // `.lock()` etc. with no arguments.
-            let close = self.paren_close(p + 1);
-            if close != p + 2 {
-                return None; // has arguments: io::Write::write, etc.
-            }
-            // Receiver: the ident before the `.`.
-            if p < 2 {
-                return None;
-            }
-            let recv = self.ct(p - 2);
-            if recv.kind != TokKind::Ident || recv.text == "self" {
-                return None;
-            }
-            let recv_is_param = f.params.iter().any(|(n, _)| *n == recv.text);
-            if recv_is_param {
-                return None;
-            }
-            return Some((recv.text.clone(), close));
-        }
-        None
-    }
-
-    /// Code-index of the `)` matching the `(` at `open`.
-    fn paren_close(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        for p in open..self.n_code() {
-            if self.ct(p).is_punct('(') {
-                depth += 1;
-            } else if self.ct(p).is_punct(')') {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return p;
-                }
-            }
-        }
-        self.n_code().saturating_sub(1)
-    }
-
-    /// Where the guard returned by the acquisition ending at code-index
-    /// `close` dies: the end of the enclosing block for `let`-bound
-    /// guards, the end of the statement for temporaries.
-    fn guard_scope_end(
-        &self,
-        acq: usize,
-        close: usize,
-        brace_spans: &[(usize, usize)],
-        body_end: usize,
-    ) -> usize {
-        let stmt_is_let = {
-            // Walk back to the statement start and check its first token.
-            let mut q = acq;
-            while q > 0 {
-                let t = self.ct(q - 1);
-                if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                    break;
-                }
-                q -= 1;
-            }
-            self.ct(q).is_ident("let")
-        };
-        let bound_to_binding =
-            stmt_is_let && close + 1 < self.n_code() && self.ct(close + 1).is_punct(';');
-        if bound_to_binding {
-            // Innermost brace span containing the acquisition.
-            brace_spans
-                .iter()
-                .filter(|&&(s, e)| s < acq && acq < e)
-                .min_by_key(|&&(s, e)| e - s)
-                .map(|&(_, e)| e)
-                .unwrap_or(body_end)
-        } else {
-            // Temporary guard: dies at the end of the statement.
-            let mut q = close;
-            while q < self.n_code() {
-                if self.ct(q).is_punct(';') {
-                    return q;
-                }
-                q += 1;
-            }
-            body_end
         }
     }
 }
@@ -963,207 +652,21 @@ fn is_ident_byte(b: u8) -> bool {
 }
 
 // ----------------------------------------------------------------------
-// Cross-file lock-order pass
-// ----------------------------------------------------------------------
-
-/// Runs the interprocedural lock-order analysis over every collected
-/// [`FnLocks`]: builds the acquisition-order graph and reports one
-/// `lockorder` violation per distinct cycle, anchored at the cycle's
-/// lexicographically first witness site.
-pub fn lock_order_violations(all: &[FnLocks]) -> Vec<Violation> {
-    let (edges, cycles) = lock_order_graph(all);
-    let mut out = Vec::new();
-    for cycle in cycles {
-        // Witness: the smallest (file, line, col) among the cycle's edges.
-        let witness = cycle
-            .iter()
-            .zip(cycle.iter().cycle().skip(1))
-            .filter_map(|(a, b)| edges.get(&(a.clone(), b.clone())))
-            .flat_map(|ws| ws.iter())
-            .min_by_key(|w| (w.0.clone(), w.1, w.2));
-        let Some((file, line, col, _)) = witness else {
-            continue;
-        };
-        let mut ring = cycle.clone();
-        ring.push(cycle[0].clone());
-        out.push(Violation {
-            file: file.clone(),
-            line: *line,
-            col: *col,
-            rule: Rule::Lockorder,
-            message: format!(
-                "lock-acquisition-order cycle: {} — a thread holding one side while \
-                 another holds the other deadlocks; acquire in one global order",
-                ring.join(" \u{2192} ")
-            ),
-        });
-    }
-    out
-}
-
-/// Edge witness: `(file, line, col, via)` — `via` names the callee chain
-/// for interprocedural edges, empty for direct nesting.
-type Witness = (String, usize, usize, String);
-
-/// Builds the lock graph. Returns the edge map (with witnesses) and the
-/// distinct elementary cycles, each as a canonically rotated lock list.
-#[allow(clippy::type_complexity)]
-fn lock_order_graph(
-    all: &[FnLocks],
-) -> (BTreeMap<(String, String), Vec<Witness>>, Vec<Vec<String>>) {
-    // Name resolution, mirroring callgraph.rs: method calls resolve to
-    // self-taking fns (except STD_METHODS), `Recv::name` to fns whose
-    // qual matches, bare calls to free fns.
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, f) in all.iter().enumerate() {
-        by_name.entry(f.name.as_str()).or_default().push(i);
-    }
-    let resolve = |name: &str, method: bool, recv: &Option<String>| -> Vec<usize> {
-        let Some(cands) = by_name.get(name) else {
-            return Vec::new();
-        };
-        if method {
-            if STD_METHODS.contains(&name) {
-                return Vec::new();
-            }
-            return cands.iter().copied().filter(|&i| all[i].has_self).collect();
-        }
-        if let Some(recv) = recv {
-            let qualified = format!("{recv}::{name}");
-            let hits: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&i| all[i].qual == qualified)
-                .collect();
-            if !hits.is_empty() {
-                return hits;
-            }
-            return cands
-                .iter()
-                .copied()
-                .filter(|&i| all[i].qual == all[i].name)
-                .collect();
-        }
-        cands
-            .iter()
-            .copied()
-            .filter(|&i| all[i].qual == all[i].name)
-            .collect()
-    };
-
-    // Fixpoint: the set of locks each fn may (transitively) acquire.
-    let mut may: Vec<BTreeSet<String>> = all
-        .iter()
-        .map(|f| f.acquires.iter().map(|a| a.lock.clone()).collect())
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..all.len() {
-            for (name, method, recv) in all[i].calls.clone() {
-                for j in resolve(&name, method, &recv) {
-                    if j == i {
-                        continue;
-                    }
-                    let add: Vec<String> = may[j].difference(&may[i]).cloned().collect();
-                    if !add.is_empty() {
-                        may[i].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Edges: direct nesting plus held-lock → callee's may-acquire set.
-    let mut edges: BTreeMap<(String, String), Vec<Witness>> = BTreeMap::new();
-    for f in all {
-        for (outer, inner, suppressed) in &f.nested {
-            if *suppressed {
-                continue;
-            }
-            edges
-                .entry((outer.clone(), inner.lock.clone()))
-                .or_default()
-                .push((f.file.clone(), inner.line, inner.col, String::new()));
-        }
-        for c in &f.calls_under {
-            if c.suppressed {
-                continue;
-            }
-            for j in resolve(&c.name, c.method, &c.recv) {
-                for lock in &may[j] {
-                    edges
-                        .entry((c.held.clone(), lock.clone()))
-                        .or_default()
-                        .push((f.file.clone(), c.line, c.col, all[j].qual.clone()));
-                }
-            }
-        }
-    }
-
-    // Cycle detection: DFS from every node, canonicalize by rotating the
-    // cycle to start at its smallest lock, dedupe.
-    let nodes: BTreeSet<&String> = edges.keys().map(|(a, _)| a).collect();
-    let succ = |n: &String| -> Vec<String> {
-        edges
-            .keys()
-            .filter(|(a, _)| a == n)
-            .map(|(_, b)| b.clone())
-            .collect()
-    };
-    let mut cycles: BTreeSet<Vec<String>> = BTreeSet::new();
-    for start in nodes {
-        let mut stack: Vec<(String, Vec<String>)> = vec![(start.clone(), vec![start.clone()])];
-        while let Some((node, path)) = stack.pop() {
-            for next in succ(&node) {
-                if next == *start {
-                    cycles.insert(canonical_cycle(&path));
-                } else if !path.contains(&next) && path.len() < 16 {
-                    let mut p = path.clone();
-                    p.push(next.clone());
-                    stack.push((next, p));
-                }
-            }
-        }
-    }
-    (edges, cycles.into_iter().collect())
-}
-
-/// Rotates a cycle so its lexicographically smallest lock comes first;
-/// two rotations of the same cycle then compare equal.
-fn canonical_cycle(path: &[String]) -> Vec<String> {
-    let min_pos = path
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.as_str())
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    let mut out = Vec::with_capacity(path.len());
-    out.extend_from_slice(&path[min_pos..]);
-    out.extend_from_slice(&path[..min_pos]);
-    out
-}
-
-// ----------------------------------------------------------------------
 // The docs/CONCURRENCY.md report
 // ----------------------------------------------------------------------
 
-/// Renders the checked-in concurrency report from per-file inventories
-/// and the workspace lock graph. Deterministic: rows follow file walk
-/// order, the graph is sorted.
-pub fn render_report(files: &[(String, FileConc)]) -> String {
+/// Renders the checked-in concurrency report from per-file inventories.
+/// Deterministic: rows follow file walk order.
+pub fn render_report(files: &[(String, Vec<InvEntry>)]) -> String {
     let mut out = String::new();
     out.push_str(
         "# Concurrency inventory\n\n\
          **Generated file — do not edit.** Regenerate with\n\
          `cargo run --release -p gandef-lint -- --concurrency docs/CONCURRENCY.md`\n\
-         after any change to shared state, atomics, `unsafe impl Send/Sync`\n\
-         or lock usage; `scripts/ci.sh` and the `concurrency_report_is_in_sync`\n\
-         test diff this file against a fresh run.\n\n\
-         Produced by the `shared`/`lockorder`/`atomics`/`sync` rules in\n\
+         after any change to shared state, atomics or `unsafe impl Send/Sync`;\n\
+         the `concurrency_report_is_in_sync` test diffs this file against a\n\
+         fresh run.\n\n\
+         Produced by the `shared`/`atomics`/`sync` rules in\n\
          `crates/lint/src/rules/concurrency.rs`; see `docs/LINT.md` for rule\n\
          semantics. Every row below passed its rule — the notes column quotes\n\
          the justification each rule verified.\n\n",
@@ -1172,8 +675,8 @@ pub fn render_report(files: &[(String, FileConc)]) -> String {
     let section = |out: &mut String, title: &str, kinds: &[&str], header: &str, empty: &str| {
         out.push_str(title);
         let mut any = false;
-        for (file, conc) in files {
-            for e in conc.inventory.iter().filter(|e| kinds.contains(&e.kind)) {
+        for (file, inventory) in files {
+            for e in inventory.iter().filter(|e| kinds.contains(&e.kind)) {
                 if !any {
                     out.push_str(header);
                     any = true;
@@ -1222,58 +725,8 @@ pub fn render_report(files: &[(String, FileConc)]) -> String {
         "| ordering | kind | type | where | justification |\n|---|---|---|---|---|\n",
         "No atomic-ordering uses in library code.\n",
     );
-
-    out.push_str("## Lock-acquisition-order graph\n\n");
-    let all: Vec<FnLocks> = files
-        .iter()
-        .flat_map(|(_, c)| c.fn_locks.iter().cloned())
-        .collect();
-    let locks: BTreeSet<&String> = all
-        .iter()
-        .flat_map(|f| f.acquires.iter())
-        .map(|a| &a.lock)
-        .collect();
-    out.push_str(&format!(
-        "{} distinct lock(s) acquired in library code: {}.\n\n",
-        locks.len(),
-        if locks.is_empty() {
-            "—".to_string()
-        } else {
-            locks
-                .iter()
-                .map(|l| format!("`{l}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        }
-    ));
-    let (edges, cycles) = lock_order_graph(&all);
-    if edges.is_empty() {
-        out.push_str(
-            "No ordered edges: no lock is ever acquired while another is held \
-             (directly or through any call chain). The graph is trivially acyclic.\n",
-        );
-    } else {
-        out.push_str("| held | then acquires | witness |\n|---|---|---|\n");
-        for ((a, b), ws) in &edges {
-            let (file, line, _, via) = &ws[0];
-            let via = if via.is_empty() {
-                String::new()
-            } else {
-                format!(" via `{via}`")
-            };
-            out.push_str(&format!("| `{a}` | `{b}` | {file}:{line}{via} |\n"));
-        }
-        out.push('\n');
-        if cycles.is_empty() {
-            out.push_str("No cycles: the acquisition order is consistent workspace-wide.\n");
-        } else {
-            for c in &cycles {
-                let mut ring = c.clone();
-                ring.push(c[0].clone());
-                out.push_str(&format!("**CYCLE:** {}\n", ring.join(" \u{2192} ")));
-            }
-        }
-    }
+    // Every section ends with a blank line; the file ends with one newline.
+    out.pop();
     out
 }
 
@@ -1315,7 +768,6 @@ mod tests {
         let report = check(src);
         assert!(report.violations.iter().all(|v| v.rule != Rule::Shared));
         let inv: Vec<_> = report
-            .conc
             .inventory
             .iter()
             .filter(|e| e.kind == "static")
@@ -1337,7 +789,7 @@ mod tests {
     fn plain_static_is_not_shared_state() {
         let src = "static NAMES: [&str; 2] = [\"a\", \"b\"];";
         assert!(fired(src, Rule::Shared).is_empty());
-        assert!(check(src).conc.inventory.is_empty());
+        assert!(check(src).inventory.is_empty());
     }
 
     #[test]
@@ -1346,7 +798,6 @@ mod tests {
             "/// Queue guard.\npub struct Shared {\n    queue: Mutex<Vec<u8>>,\n    len: usize,\n}";
         let report = check(src);
         let inv: Vec<_> = report
-            .conc
             .inventory
             .iter()
             .filter(|e| e.kind == "field")
@@ -1368,7 +819,7 @@ mod tests {
         let src = "fn f(c: &AtomicUsize) {\n    // lint:allow(atomics) — monotonic stats counter, readers tolerate staleness.\n    c.fetch_add(1, Ordering::Relaxed);\n}";
         assert!(fired(src, Rule::Atomics).is_empty());
         let inv = check(src);
-        let row = inv.conc.inventory.iter().find(|e| e.kind == "ordering");
+        let row = inv.inventory.iter().find(|e| e.kind == "ordering");
         assert!(row.is_some_and(|r| r.note.contains("monotonic stats")));
     }
 
@@ -1421,106 +872,21 @@ mod tests {
         assert!(!mentions_word("the function_table is Send", "func"));
     }
 
-    // ---- lockorder ----
-
-    fn locks_for(src: &str) -> Vec<FnLocks> {
-        check(src).conc.fn_locks
-    }
-
-    #[test]
-    fn let_bound_guard_spans_block_temporary_spans_statement() {
-        let src = "fn f(s: &S) {\n    let g = lock(&s.alpha);\n    let h = lock(&s.beta);\n}\nfn t(s: &S) {\n    *lock(&s.alpha) = 1;\n    *lock(&s.beta) = 2;\n}";
-        let all = locks_for(src);
-        let f = all.iter().find(|f| f.name == "f").unwrap();
-        assert_eq!(f.nested.len(), 1);
-        assert_eq!(f.nested[0].0, "demo/alpha");
-        assert_eq!(f.nested[0].1.lock, "demo/beta");
-        let t = all.iter().find(|f| f.name == "t").unwrap();
-        assert!(
-            t.nested.is_empty(),
-            "temporary guards must not nest: {:?}",
-            t.nested
-        );
-    }
-
-    #[test]
-    fn method_acquisitions_and_param_receivers() {
-        let src = "fn f(s: &S) {\n    let g = s2.lock();\n}\nfn helper(m: &Mutex<u8>) -> MutexGuard<'_, u8> {\n    m.lock()\n}";
-        let all = locks_for(src);
-        let f = all.iter().find(|f| f.name == "f").unwrap();
-        assert_eq!(f.acquires.len(), 1);
-        assert_eq!(f.acquires[0].lock, "demo/s2");
-        // `m` is a fn parameter: the generic passthrough helper records
-        // no acquisition of its own.
-        let h = all.iter().find(|f| f.name == "helper").unwrap();
-        assert!(h.acquires.is_empty());
-    }
-
-    #[test]
-    fn ab_ba_cycle_is_reported_once() {
-        let src = "fn ab(s: &S) {\n    let a = lock(&s.alpha);\n    let b = lock(&s.beta);\n}\nfn ba(s: &S) {\n    let b = lock(&s.beta);\n    let a = lock(&s.alpha);\n}";
-        let v = lock_order_violations(&locks_for(src));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::Lockorder);
-        assert!(v[0].message.contains("demo/alpha"));
-        assert!(v[0].message.contains("demo/beta"));
-        // Witness is the first nested acquisition in file order.
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn consistent_order_is_clean() {
-        let src = "fn one(s: &S) {\n    let a = lock(&s.alpha);\n    let b = lock(&s.beta);\n}\nfn two(s: &S) {\n    let a = lock(&s.alpha);\n    let b = lock(&s.beta);\n}";
-        assert!(lock_order_violations(&locks_for(src)).is_empty());
-    }
-
-    #[test]
-    fn interprocedural_cycle_through_call() {
-        // outer holds alpha and calls inner, which (transitively, via
-        // deeper) acquires beta -> edge alpha->beta; other nests
-        // beta -> alpha directly. One cycle through the call chain.
-        let src = "fn outer(s: &S) {\n    let a = lock(&s.alpha);\n    inner(s);\n}\nfn inner(s: &S) {\n    deeper(s);\n}\nfn deeper(s: &S) {\n    let b = lock(&s.beta);\n}\nfn other(s: &S) {\n    let b = lock(&s.beta);\n    let a = lock(&s.alpha);\n}";
-        let v = lock_order_violations(&locks_for(src));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("demo/alpha") && v[0].message.contains("demo/beta"));
-    }
-
-    #[test]
-    fn reentrant_acquisition_through_call_is_a_cycle() {
-        // outer holds alpha and calls inner, which re-acquires alpha:
-        // a self-deadlock, reported as an alpha -> alpha cycle.
-        let src = "fn outer(s: &S) {\n    let a = lock(&s.alpha);\n    inner(s);\n}\nfn inner(s: &S) {\n    let a2 = lock(&s.alpha);\n}";
-        let v = lock_order_violations(&locks_for(src));
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("demo/alpha"));
-    }
-
-    #[test]
-    fn suppressed_nesting_is_dropped() {
-        let src = "fn ab(s: &S) {\n    let a = lock(&s.alpha);\n    // lint:allow(lockorder) — beta is a leaf lock, never held across calls.\n    let b = lock(&s.beta);\n}\nfn ba(s: &S) {\n    let b = lock(&s.beta);\n    // lint:allow(lockorder) — same leaf-lock argument, reviewed.\n    let a = lock(&s.alpha);\n}";
-        assert!(lock_order_violations(&locks_for(src)).is_empty());
-    }
-
-    #[test]
-    fn self_deadlock_is_a_cycle() {
-        let src = "fn twice(s: &S) {\n    let a = lock(&s.alpha);\n    let b = lock(&s.alpha);\n}";
-        let v = lock_order_violations(&locks_for(src));
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("demo/alpha"));
-    }
-
     // ---- report ----
 
     #[test]
     fn report_renders_all_sections() {
-        let src = "/// Ready flag.\nstatic READY: AtomicBool = AtomicBool::new(false);\nfn f(s: &S) {\n    let g = lock(&s.queue);\n}";
+        let src = "/// Ready flag.\nstatic READY: AtomicBool = AtomicBool::new(false);\nfn f() -> bool {\n    // lint:allow(atomics) — a stale read only delays the next poll.\n    READY.load(Ordering::Relaxed)\n}";
         let report = check(src);
-        let md = render_report(&[("crates/demo/src/lib.rs".to_string(), report.conc)]);
+        let md = render_report(&[("crates/demo/src/lib.rs".to_string(), report.inventory)]);
         assert!(md.contains("# Concurrency inventory"));
+        assert!(md.contains("## Shared state"));
         assert!(md.contains("`READY`"));
         assert!(md.contains("Ready flag."));
-        assert!(md.contains("`demo/queue`"));
-        assert!(md.contains("No ordered edges"));
+        assert!(md.contains("No `unsafe impl Send/Sync` in library code."));
+        assert!(md.contains("## Atomic orderings"));
+        assert!(md.contains("a stale read only delays the next poll."));
+        assert!(md.ends_with(" |\n"), "{md}");
     }
 
     #[test]

@@ -1,21 +1,13 @@
-//! Determinism & numerics dataflow rules: `reduce`, `nondet`,
-//! `errprop`, `floatcmp`.
+//! Determinism rules: `nondet` and `errprop`.
 //!
 //! The training loop's reproducibility contract (DESIGN.md "Determinism")
-//! is only as strong as its weakest reduction: one float accumulation
-//! whose order depends on worker scheduling, one `HashMap` iteration
-//! feeding parameter updates, or one silently dropped checkpoint-write
-//! error breaks bit-exact replay. These rules make every such site either
-//! provably ordered, routed through the [`Accum`]-mode API, or annotated
-//! with a reviewed justification:
+//! breaks on one `HashMap` iteration feeding parameter updates or one
+//! silently dropped checkpoint-write error. These rules make every such
+//! site either provably ordered or annotated with a reviewed
+//! justification. Float accumulation order is checked at run time
+//! instead, by the f64 bitwise pool-invariance tests and the
+//! `numerics_audit --oracle` diff.
 //!
-//! * `reduce` — floating-point accumulation (`+=`/`*=` on a captured
-//!   float lvalue, or a float-seeded `.fold(…)`) inside a closure passed
-//!   to a `pool::parallel_*` entry point. Sanctioned shapes: the
-//!   enclosing function samples the `Accum` mode (it is mode-aware and
-//!   its combine order is pinned per mode), or the closure accumulates
-//!   into a closure-local binding and publishes one value per worker
-//!   (the per-worker-then-fixed-order-combine idiom).
 //! * `nondet` — nondeterminism sources in numeric-path crates
 //!   (`tensor`, `autodiff`, `attack`, `defense`): `HashMap`/`HashSet`
 //!   iteration, `SystemTime::now`/`Instant::now` wall-clock reads,
@@ -24,37 +16,20 @@
 //! * `errprop` — a `Result` discarded via `let _ = …;` or a
 //!   statement-position `.ok();` in library code. Checkpoint rotation
 //!   and serve hot-reload I/O must propagate, count, or justify.
-//! * `floatcmp` — `==`/`!=` with a float operand in library code needs
-//!   an exactness justification; `to_bits()` oracles compare integers
-//!   and are naturally exempt.
-//!
-//! [`Accum`]: https://docs.rs — `gandef_tensor::accum::Accum` (workspace)
 
 use super::{FileCtx, FileReport, Rule, Violation};
 use crate::lexer::{TokKind, Token};
-use crate::parser::{closure_args_of_calls, find_compound_assigns, ClosureArg, FnDef, Parsed};
-
-/// The worker-pool entry points whose closure arguments the `reduce`
-/// rule scopes to (`gandef_tensor::pool`).
-pub(crate) const POOL_ENTRIES: [&str; 4] = [
-    "parallel_for",
-    "parallel_for_mut",
-    "parallel_for_ranges",
-    "parallel_tasks",
-];
+use crate::parser::{FnDef, Parsed};
 
 /// Runs the determinism rules. Library code and the seeded fixtures
-/// only; `#[cfg(test)]` spans are exempt except for `floatcmp`'s
-/// bitwise-oracle carve-out, which exempts tests wholesale.
+/// only; `#[cfg(test)]` spans are exempt.
 pub(super) fn check(ctx: &FileCtx<'_>, parsed: &Parsed, report: &mut FileReport) {
     if !(ctx.is_lib || super::semantic::is_fixture(ctx.file)) {
         return;
     }
     let d = Det { ctx, parsed };
-    d.rule_reduce(report);
     d.rule_nondet(report);
     d.rule_errprop(report);
-    d.rule_floatcmp(report);
 }
 
 struct Det<'a, 'b> {
@@ -131,131 +106,6 @@ impl Det<'_, '_> {
             .chain(f.params.iter())
             .find(|(n, _)| n == name)
             .map(|(_, t)| t.clone())
-    }
-
-    fn is_float_ty(ty: &str) -> bool {
-        ty.contains("f32") || ty.contains("f64")
-    }
-
-    fn is_float_literal(t: &Token) -> bool {
-        t.kind == TokKind::Num
-            && (t.text.contains('.') || t.text.ends_with("f32") || t.text.ends_with("f64"))
-    }
-
-    // ------------------------------------------------------------------
-    // Rule: reduce
-    // ------------------------------------------------------------------
-
-    /// Flags float accumulation inside closures passed to the worker
-    /// pool unless the enclosing fn is `Accum`-mode-aware, the closure
-    /// uses the per-worker local idiom, or the site carries an
-    /// annotation.
-    fn rule_reduce(&self, report: &mut FileReport) {
-        let closures = closure_args_of_calls(self.ctx.toks, &POOL_ENTRIES);
-        if closures.is_empty() {
-            return;
-        }
-        let assigns = find_compound_assigns(self.ctx.toks);
-        for cl in &closures {
-            for a in &assigns {
-                if a.idx < cl.body.0 || a.idx > cl.body.1 {
-                    continue;
-                }
-                if a.op != '+' && a.op != '*' {
-                    continue;
-                }
-                if a.deref {
-                    // `*slot += …` writes through a per-item pointer or
-                    // chunk — disjoint output, not a shared reduction.
-                    continue;
-                }
-                if a.lvalue.is_empty() || self.let_inside(cl, &a.lvalue) {
-                    // Closure-local accumulator: the per-worker idiom.
-                    continue;
-                }
-                let lv_float = self
-                    .ty_of(a.idx, &a.lvalue)
-                    .is_some_and(|ty| Self::is_float_ty(&ty));
-                let rhs_float =
-                    a.idx + 2 < self.n_code() && Self::is_float_literal(self.ct(a.idx + 2));
-                if !(lv_float || rhs_float) {
-                    continue;
-                }
-                if self.fn_samples_accum(a.idx) || self.suppressed(a.idx, Rule::Reduce) {
-                    continue;
-                }
-                let t = self.ct(a.idx);
-                self.violation(
-                    report,
-                    t,
-                    Rule::Reduce,
-                    format!(
-                        "float `{}=` on captured `{}` inside a `{}` closure — \
-                         accumulation order follows worker scheduling; route through \
-                         the `Accum` API, accumulate into a closure-local and combine \
-                         in fixed order, or annotate `// lint:allow(reduce) — \
-                         <ordered-combine reason>`",
-                        a.op, a.lvalue, cl.callee
-                    ),
-                );
-            }
-            self.fold_sites(cl, report);
-        }
-    }
-
-    /// True if `name` is `let`-bound inside the closure body span.
-    fn let_inside(&self, cl: &ClosureArg, name: &str) -> bool {
-        (cl.body.0..cl.body.1).any(|q| {
-            self.ct(q).is_ident("let")
-                && (q + 1..=(q + 2).min(cl.body.1)).any(|r| self.ct(r).is_ident(name))
-        })
-    }
-
-    /// True if the fn enclosing code-index `p` samples the accumulation
-    /// mode (`accum()` / `with_accum` / a match on `Accum`): mode-aware
-    /// code pins its combine order per mode and is the sanctioned route.
-    fn fn_samples_accum(&self, p: usize) -> bool {
-        let Some(f) = self.enclosing_fn_def(p) else {
-            return false;
-        };
-        let Some((s, e)) = f.body else { return false };
-        (s..=e).any(|q| {
-            let t = self.ct(q);
-            t.is_ident("accum") || t.is_ident("with_accum") || t.is_ident("Accum")
-        })
-    }
-
-    /// Flags `.fold(<float literal>, …)` inside a parallel closure — a
-    /// fold is a serial chain per invocation, but per-worker chains
-    /// combine in completion order unless the fn is mode-aware.
-    fn fold_sites(&self, cl: &ClosureArg, report: &mut FileReport) {
-        for q in cl.body.0..cl.body.1.min(self.n_code().saturating_sub(2)) {
-            if !(self.ct(q).is_punct('.')
-                && self.ct(q + 1).is_ident("fold")
-                && self.ct(q + 2).is_punct('('))
-            {
-                continue;
-            }
-            let seed_is_float = q + 3 < self.n_code() && Self::is_float_literal(self.ct(q + 3));
-            if !seed_is_float {
-                continue;
-            }
-            if self.fn_samples_accum(q) || self.suppressed(q + 1, Rule::Reduce) {
-                continue;
-            }
-            let t = self.ct(q + 1);
-            self.violation(
-                report,
-                t,
-                Rule::Reduce,
-                format!(
-                    "float `.fold(…)` inside a `{}` closure — per-worker partials \
-                     combine in scheduling order; use the `Accum` API or annotate \
-                     `// lint:allow(reduce) — <ordered-combine reason>`",
-                    cl.callee
-                ),
-            );
-        }
     }
 
     // ------------------------------------------------------------------
@@ -388,125 +238,6 @@ impl Det<'_, '_> {
             q += 1;
         }
         false
-    }
-
-    // ------------------------------------------------------------------
-    // Rule: floatcmp
-    // ------------------------------------------------------------------
-
-    fn rule_floatcmp(&self, report: &mut FileReport) {
-        for p in 1..self.n_code().saturating_sub(1) {
-            let t = self.ct(p);
-            let neq = t.is_punct('!');
-            if !(t.is_punct('=') || neq) {
-                continue;
-            }
-            let eq = self.ct(p + 1);
-            if !(eq.is_punct('=') && eq.line == t.line && eq.col == t.col + 1) {
-                continue;
-            }
-            // `a == b` needs the token *before* `==` to be an operand
-            // tail; `x != =`-style fusions and `<=`/`>=`/`=>`/`..=` never
-            // match because their first char is not `=`/`!`.
-            if !neq && p >= 1 && (self.ct(p - 1).is_punct('=') || self.ct(p - 1).is_punct('!')) {
-                continue; // second half of an already-seen `==`/`!=`
-            }
-            if p + 2 < self.n_code() && self.ct(p + 2).is_punct('=') {
-                continue; // `===`? not Rust; be safe
-            }
-            if self.ctx.in_test_span(p) {
-                continue; // bitwise-oracle tests are the sanctioned exception
-            }
-            let float = self.operand_is_float_after(p + 2) || self.operand_is_float_before(p - 1);
-            if !float || self.suppressed(p, Rule::Floatcmp) {
-                continue;
-            }
-            let op = if neq { "!=" } else { "==" };
-            self.violation(
-                report,
-                t,
-                Rule::Floatcmp,
-                format!(
-                    "`{op}` on float operands — exact comparison is order- and \
-                     mode-sensitive; compare `to_bits()`, use a tolerance, or annotate \
-                     `// lint:allow(floatcmp) — <exactness justification>`"
-                ),
-            );
-        }
-    }
-
-    /// Is the operand starting at code-index `q` (right of `==`) float?
-    fn operand_is_float_after(&self, q: usize) -> bool {
-        let mut r = q;
-        while r < self.n_code() && self.ct(r).is_punct('-') {
-            r += 1; // unary minus
-        }
-        if r >= self.n_code() {
-            return false;
-        }
-        let t = self.ct(r);
-        match t.kind {
-            TokKind::Num => Self::is_float_literal(t),
-            TokKind::Ident => {
-                // A projection or call follows (`b.to_bits()`, `g(x)`):
-                // the expression's type is unknown — stay quiet.
-                if r + 1 < self.n_code()
-                    && (self.ct(r + 1).is_punct('.') || self.ct(r + 1).is_punct('('))
-                {
-                    return false;
-                }
-                t.text == "f32"
-                    || t.text == "f64"
-                    || self
-                        .ty_of(r, &t.text)
-                        .is_some_and(|ty| Self::is_float_ty(&ty))
-            }
-            _ => false,
-        }
-    }
-
-    /// Is the operand ending at code-index `q` (left of `==`) float?
-    fn operand_is_float_before(&self, q: usize) -> bool {
-        let t = self.ct(q);
-        match t.kind {
-            TokKind::Num => Self::is_float_literal(t),
-            TokKind::Ident => {
-                // A field projection (`x.len`) or method tail never
-                // reaches here with a type; only plain bindings do.
-                if q >= 1 && self.ct(q - 1).is_punct('.') {
-                    return false;
-                }
-                self.ty_of(q, &t.text)
-                    .is_some_and(|ty| Self::is_float_ty(&ty))
-            }
-            TokKind::Punct(']') => {
-                // `v[i] == …` — float if the container's type is.
-                let mut depth = 0i32;
-                let mut r = q;
-                loop {
-                    match self.ct(r).kind {
-                        TokKind::Punct(']') => depth += 1,
-                        TokKind::Punct('[') => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    if r == 0 {
-                        return false;
-                    }
-                    r -= 1;
-                }
-                r >= 1
-                    && self.ct(r - 1).kind == TokKind::Ident
-                    && self
-                        .ty_of(r - 1, &self.ct(r - 1).text)
-                        .is_some_and(|ty| Self::is_float_ty(&ty))
-            }
-            _ => false,
-        }
     }
 }
 
@@ -774,9 +505,9 @@ pub fn render_report(files: &[(String, String)]) -> String {
         "**Generated file — do not edit by hand.** Regenerate with\n\
          `./target/release/gandef-lint --determinism docs/DETERMINISM.md`\n\
          after any change that adds, removes or reroutes a reduction or a\n\
-         nondeterminism source; `scripts/ci.sh` and the lint self-test\n\
-         diff this file against a fresh run and fail on drift, so every\n\
-         reclassification is reviewed in the PR that introduces it.\n\n\
+         nondeterminism source; the lint self-test diffs this file against\n\
+         a fresh run and fails on drift, so every reclassification is\n\
+         reviewed in the PR that introduces it.\n\n\
          Every public function of `gandef-tensor`, `gandef-nn` and\n\
          `gandef-serve` is classified, most severe class first:\n\n\
          * **nondeterministic** — transitively reaches an unsuppressed\n\
@@ -906,59 +637,6 @@ mod tests {
             .collect()
     }
 
-    // ---- reduce ----
-
-    #[test]
-    fn captured_float_accumulation_in_parallel_closure_fires() {
-        let src = "fn f(xs: &[f32]) -> f32 {\n    let mut total: f32 = 0.0;\n    parallel_for(xs.len(), 64, |r| {\n        total += 1.0;\n    });\n    total\n}";
-        let v = fired("crates/tensor/src/x.rs", src, Rule::Reduce);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].line, 4);
-    }
-
-    #[test]
-    fn per_worker_local_idiom_passes() {
-        let src = "fn f(xs: &[f32], parts: &mut [f32]) {\n    parallel_for_ranges(xs.len(), 64, |w, r| {\n        let mut local = 0.0;\n        for i in r { local += xs[i]; }\n        parts[w] = local;\n    });\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
-    #[test]
-    fn accum_aware_fn_passes() {
-        let src = "fn f(xs: &[f32]) -> f32 {\n    let mut total: f32 = 0.0;\n    match crate::accum::accum() {\n        _ => parallel_for(xs.len(), 64, |r| { total += 1.0; }),\n    }\n    total\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
-    #[test]
-    fn deref_chunk_write_passes() {
-        let src = "fn f(out: &mut [f32]) {\n    parallel_for_mut(out, 64, |chunk, _| {\n        for v in chunk { *v += 1.0; }\n    });\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
-    #[test]
-    fn float_fold_in_parallel_closure_fires() {
-        let src = "fn f(xs: &[f32]) -> Vec<f32> {\n    parallel_tasks(4, |w| xs.iter().fold(0.0f32, |a, b| a + b))\n}";
-        let v = fired("crates/tensor/src/x.rs", src, Rule::Reduce);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn annotated_reduction_passes() {
-        let src = "fn f(xs: &[f32]) -> f32 {\n    let mut total: f32 = 0.0;\n    parallel_for(xs.len(), 64, |r| {\n        // lint:allow(reduce) — serial fallback: pool is size 1 here.\n        total += 1.0;\n    });\n    total\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
-    #[test]
-    fn integer_accumulation_passes() {
-        let src = "fn f(xs: &[u32]) -> u32 {\n    let mut total: u32 = 0;\n    parallel_for(xs.len(), 64, |r| {\n        total += 1;\n    });\n    total\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
-    #[test]
-    fn serial_float_accumulation_passes() {
-        let src = "fn f(xs: &[f32]) -> f32 {\n    let mut total = 0.0;\n    for &x in xs { total += x; }\n    total\n}";
-        assert!(fired("crates/tensor/src/x.rs", src, Rule::Reduce).is_empty());
-    }
-
     // ---- nondet ----
 
     #[test]
@@ -1065,53 +743,6 @@ mod tests {
     fn errprop_in_test_span_passes() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::fs::remove_file(\"x\").ok(); }\n}";
         assert!(fired("crates/nn/src/x.rs", src, Rule::Errprop).is_empty());
-    }
-
-    // ---- floatcmp ----
-
-    #[test]
-    fn float_literal_comparison_fires() {
-        let src = "fn f(p: f32) -> bool { p == 0.0 }";
-        let v = fired("crates/nn/src/x.rs", src, Rule::Floatcmp);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn float_typed_ident_comparison_fires() {
-        let src = "fn f(a: f32, b: f32) -> bool { a != b }";
-        let v = fired("crates/nn/src/x.rs", src, Rule::Floatcmp);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn float_index_comparison_fires() {
-        let src = "fn f(v: &[f32], i: usize) -> bool { v[i] == 1.5 }";
-        let v = fired("crates/nn/src/x.rs", src, Rule::Floatcmp);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn integer_comparison_passes() {
-        let src = "fn f(a: usize, b: usize) -> bool { a == b && a != 3 }";
-        assert!(fired("crates/nn/src/x.rs", src, Rule::Floatcmp).is_empty());
-    }
-
-    #[test]
-    fn to_bits_oracle_passes() {
-        let src = "fn f(a: f32, b: f32) -> bool { a.to_bits() == b.to_bits() }";
-        assert!(fired("crates/nn/src/x.rs", src, Rule::Floatcmp).is_empty());
-    }
-
-    #[test]
-    fn float_comparison_in_test_span_passes() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(a: f32) -> bool { a == 0.5 }\n}";
-        assert!(fired("crates/nn/src/x.rs", src, Rule::Floatcmp).is_empty());
-    }
-
-    #[test]
-    fn annotated_float_comparison_passes() {
-        let src = "fn f(p: f32) -> bool {\n    // lint:allow(floatcmp) — 0.0 is an exact sentinel, never computed.\n    p == 0.0\n}";
-        assert!(fired("crates/nn/src/x.rs", src, Rule::Floatcmp).is_empty());
     }
 
     // ---- docs/DETERMINISM.md classification ----

@@ -15,12 +15,11 @@
 //! The token-stream rules live in this module; the parse-tree rules
 //! (`alloc`, `cast`, `grad`, `shape`) live in [`semantic`] and run over
 //! [`crate::parser`]'s output; the concurrency rules (`shared`,
-//! `lockorder`, `atomics`, `sync`) live in [`concurrency`] together with
-//! the shared-state inventory behind `docs/CONCURRENCY.md`; the
-//! determinism/numerics rules (`reduce`, `nondet`, `errprop`,
-//! `floatcmp`) live in [`determinism`] together with the per-API
-//! classification behind `docs/DETERMINISM.md`. See `docs/LINT.md` for
-//! the full reference.
+//! `atomics`, `sync`) live in [`concurrency`] together with the
+//! shared-state inventory behind `docs/CONCURRENCY.md`; the determinism
+//! rules (`nondet`, `errprop`) live in [`determinism`] together with the
+//! per-API classification behind `docs/DETERMINISM.md`. See
+//! `docs/LINT.md` for the full reference.
 //!
 //! | rule        | invariant |
 //! |-------------|-----------|
@@ -34,13 +33,10 @@
 //! | `grad`      | every tape push in `autodiff::ops` registers a backward closure (`None` backward = no input gradients for attacks) |
 //! | `shape`     | public `Tensor`-returning fns in `gandef-tensor` state a shape `assert!` before their first index expression |
 //! | `shared`    | no `static mut`; every sync-typed `static` / `thread_local!` slot carries a describing comment (quoted by the inventory) |
-//! | `lockorder` | the interprocedural lock-acquisition-order graph is acyclic |
 //! | `atomics`   | `Ordering::Relaxed`/`SeqCst` need a `lint:allow(atomics)` reason; Acquire/Release/AcqRel sites name their partner via a `pairs with` comment |
 //! | `sync`      | each `unsafe impl Send/Sync` cites the field(s) of the parsed struct that make it sound |
-//! | `reduce`    | float accumulation (`+=`/`*=`/`.fold`) inside a closure passed to `pool::parallel_*` routes through the `Accum` API, uses the per-worker-then-ordered-combine idiom, or justifies its combine order |
 //! | `nondet`    | no nondeterminism sources (`HashMap`/`HashSet` iteration, wall-clock values, thread-id arithmetic, non-`Prng` RNG) in `tensor`/`autodiff`/`attack`/`defense` numeric paths |
 //! | `errprop`   | no `Result` silently discarded (`let _ =`, statement-position `.ok()`) in library code without a justification |
-//! | `floatcmp`  | `==`/`!=` on float operands in library code states why exact equality is sound (bitwise oracle tests are the sanctioned exception) |
 
 pub mod concurrency;
 pub mod determinism;
@@ -71,20 +67,14 @@ pub enum Rule {
     Shape,
     /// `static mut`, or an undocumented shared-state slot.
     Shared,
-    /// Cycle in the lock-acquisition-order graph.
-    Lockorder,
     /// Atomic memory ordering without its required justification.
     Atomics,
     /// `unsafe impl Send/Sync` that does not cite the sound fields.
     Sync,
-    /// Unordered float reduction inside a parallel closure.
-    Reduce,
     /// Nondeterminism source in a numeric-path module.
     Nondet,
     /// `Result` silently discarded in library code.
     Errprop,
-    /// Exact float comparison without a justification.
-    Floatcmp,
 }
 
 impl Rule {
@@ -101,18 +91,15 @@ impl Rule {
             Rule::Grad => "grad",
             Rule::Shape => "shape",
             Rule::Shared => "shared",
-            Rule::Lockorder => "lockorder",
             Rule::Atomics => "atomics",
             Rule::Sync => "sync",
-            Rule::Reduce => "reduce",
             Rule::Nondet => "nondet",
             Rule::Errprop => "errprop",
-            Rule::Floatcmp => "floatcmp",
         }
     }
 
     /// All rules, for self-tests and reporting.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 14] = [
         Rule::Safety,
         Rule::Panic,
         Rule::Bounds,
@@ -123,13 +110,10 @@ impl Rule {
         Rule::Grad,
         Rule::Shape,
         Rule::Shared,
-        Rule::Lockorder,
         Rule::Atomics,
         Rule::Sync,
-        Rule::Reduce,
         Rule::Nondet,
         Rule::Errprop,
-        Rule::Floatcmp,
     ];
 }
 
@@ -213,9 +197,9 @@ pub struct FileReport {
     pub knob_reads: Vec<KnobRead>,
     /// Unbalanced-delimiter diagnosis, if the file failed to parse.
     pub parse_error: Option<ParseError>,
-    /// Shared-state inventory and per-fn lock facts, for the `lockorder`
-    /// cross-file pass and the `docs/CONCURRENCY.md` report.
-    pub conc: concurrency::FileConc,
+    /// Shared-state inventory rows, in source order, for the
+    /// `docs/CONCURRENCY.md` report.
+    pub inventory: Vec<concurrency::InvEntry>,
 }
 
 /// Lints one source file. `file` is the display path; `is_lib` should be
@@ -234,7 +218,7 @@ pub fn check_file(file: &str, src: &str, is_lib: bool) -> FileReport {
     ctx.rule_spawn(&mut report);
     let parsed = crate::parser::parse(&toks);
     semantic::check(file, &toks, &parsed, &mut report);
-    concurrency::check(&ctx, &parsed, &mut report);
+    concurrency::check(&ctx, &mut report);
     determinism::check(&ctx, &parsed, &mut report);
     report
 }

@@ -1,12 +1,21 @@
 //! Lint self-tests: the seeded fixtures must trip every rule, the real
-//! workspace must be clean, and the checked-in panic-reachability report
-//! must match a fresh run. Keeping these checks in `cargo test` means
-//! tier-1 CI enforces the invariants even before `scripts/ci.sh` runs the
-//! dedicated lint stage.
+//! workspace must be clean, the three checked-in reports must match a
+//! fresh run, and the `gandef-lint` binary must keep its exit-code
+//! contract. Keeping these checks in `cargo test` means the tier-1 test
+//! run enforces them; `scripts/ci.sh` adds only the lint's time budget.
 
 use gandef_lint::rules::Rule;
 use gandef_lint::{concurrency_report, determinism_report, panic_report, render_json, run, Config};
 use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The four seeded fixtures, which together trip every rule once.
+const SEEDED: [&str; 4] = [
+    "crates/lint/fixtures/seeded.rs",
+    "crates/lint/fixtures/seeded_semantic.rs",
+    "crates/lint/fixtures/seeded_concurrency.rs",
+    "crates/lint/fixtures/seeded_determinism.rs",
+];
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -19,12 +28,7 @@ fn workspace_root() -> PathBuf {
 fn seeded_fixtures_trip_every_rule_exactly_once() {
     let root = workspace_root();
     let mut cfg = Config::workspace(&root);
-    cfg.files = vec![
-        root.join("crates/lint/fixtures/seeded.rs"),
-        root.join("crates/lint/fixtures/seeded_semantic.rs"),
-        root.join("crates/lint/fixtures/seeded_concurrency.rs"),
-        root.join("crates/lint/fixtures/seeded_determinism.rs"),
-    ];
+    cfg.files = SEEDED.iter().map(|f| root.join(f)).collect();
     let outcome = run(&cfg).expect("lint run");
     for rule in Rule::ALL {
         let count = outcome.violations.iter().filter(|v| v.rule == rule).count();
@@ -37,6 +41,49 @@ fn seeded_fixtures_trip_every_rule_exactly_once() {
         );
     }
     assert_eq!(outcome.violations.len(), Rule::ALL.len());
+}
+
+#[test]
+fn cli_exit_codes_follow_the_contract() {
+    let root = workspace_root();
+    let lint = |files: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_gandef-lint"))
+            .current_dir(&root)
+            .args(files)
+            .output()
+            .expect("run gandef-lint")
+    };
+
+    let seeded = lint(&SEEDED);
+    let stderr = String::from_utf8_lossy(&seeded.stderr);
+    assert_eq!(
+        seeded.status.code(),
+        Some(1),
+        "violations exit 1:\n{stderr}"
+    );
+    for rule in Rule::ALL {
+        assert!(
+            stderr.contains(&format!("[{}]", rule.name())),
+            "the seeded run does not name rule `{}`:\n{stderr}",
+            rule.name()
+        );
+    }
+
+    let broken = lint(&["crates/lint/fixtures/broken.rs"]);
+    assert_eq!(
+        broken.status.code(),
+        Some(2),
+        "a parse error exits 2:\n{}",
+        String::from_utf8_lossy(&broken.stderr)
+    );
+
+    let clean = lint(&["crates/lint/src/lexer.rs"]);
+    assert_eq!(
+        clean.status.code(),
+        Some(0),
+        "a clean file exits 0:\n{}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
 }
 
 #[test]
@@ -93,12 +140,7 @@ fn panics_report_is_in_sync() {
 fn json_format_names_all_fixture_rules() {
     let root = workspace_root();
     let mut cfg = Config::workspace(&root);
-    cfg.files = vec![
-        root.join("crates/lint/fixtures/seeded.rs"),
-        root.join("crates/lint/fixtures/seeded_semantic.rs"),
-        root.join("crates/lint/fixtures/seeded_concurrency.rs"),
-        root.join("crates/lint/fixtures/seeded_determinism.rs"),
-    ];
+    cfg.files = SEEDED.iter().map(|f| root.join(f)).collect();
     let outcome = run(&cfg).expect("lint run");
     let json = render_json(&outcome);
     for rule in Rule::ALL {

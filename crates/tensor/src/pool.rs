@@ -545,22 +545,22 @@ mod tests {
 
     #[test]
     fn with_serial_forces_inline_execution() {
-        let spawned_before = stats().threads_spawned;
-        let jobs_before = stats().jobs_completed;
+        let caller = std::thread::current().id();
+        let chunks = Mutex::new(Vec::new());
+        let n = 1 << 16;
         with_serial(|| {
-            let mut out = vec![0.0f32; 1 << 16];
+            let mut out = vec![0.0f32; n];
             parallel_for_mut(&mut out, 1, 1, |first, chunk| {
+                lock(&chunks).push((std::thread::current().id(), first, chunk.len()));
                 for (off, v) in chunk.iter_mut().enumerate() {
                     *v = (first + off) as f32;
                 }
             });
             assert_eq!(out[12345], 12345.0);
         });
-        // Serial mode must not have produced a pool job (it may not even
-        // have initialized the pool).
-        if stats().threads_spawned == spawned_before {
-            assert_eq!(stats().jobs_completed, jobs_before);
-        }
+        // Serial mode runs the whole range as one chunk on the calling
+        // thread: never split into pool jobs, never on a pool worker.
+        assert_eq!(chunks.into_inner().unwrap(), vec![(caller, 0, n)]);
     }
 
     #[test]

@@ -3,16 +3,15 @@
 #
 #   scripts/ci.sh
 #
-# Steps: format check, release build, full test suite, the gandef-lint
-# static-analysis gate (zero violations in the workspace under a lint
-# wall-time budget, a self-test proving the lint still detects every rule
-# on the seeded fixtures, and drift checks of the panic-reachability
-# report docs/PANICS.md, the concurrency inventory docs/CONCURRENCY.md
-# and the per-API determinism classification docs/DETERMINISM.md — see
-# the regeneration notes at those stages), a smoke run of the kernel
-# micro-benchmarks gated against the
-# checked-in BENCH_tensor.json (bench_diff; writes BENCH_smoke.json to a
-# temp dir so the checked-in file is never clobbered), one round each of
+# Steps: format check, release build, full test suite (which includes
+# the lint's self-tests in crates/lint/tests/selftest.rs: the seeded
+# fixtures trip every rule exactly once, the binary keeps its exit codes,
+# and docs/PANICS.md, docs/CONCURRENCY.md and docs/DETERMINISM.md match
+# a fresh run), the gandef-lint static-analysis gate (zero violations in
+# the workspace under a lint wall-time budget), a smoke run of the
+# kernel micro-benchmarks gated against the checked-in BENCH_tensor.json
+# (bench_diff; writes BENCH_smoke.json to a temp dir so the checked-in
+# file is never clobbered), one round each of
 # perfbench train-zk and train-pgd and a short serve-mixed run, whose
 # output checks must pass (training records finite losses with no run
 # event and clears the accuracy floor; the served model trains cleanly,
@@ -54,92 +53,6 @@ echo "==> gandef-lint (workspace must be clean, within the time budget)"
 #   ./target/release/gandef-lint --timings 2>&1 | tail -1
 # after a deliberate analysis-cost change.
 ./target/release/gandef-lint --budget scripts/lint_budget.txt
-
-echo "==> gandef-lint self-test (seeded fixtures must trip every rule)"
-# The fixtures hold exactly one violation per rule (token rules in
-# seeded.rs, parse-tree rules in seeded_semantic.rs, concurrency rules in
-# seeded_concurrency.rs, determinism rules in seeded_determinism.rs); the
-# lint must exit nonzero and report each rule by name, or the gate above
-# is meaningless.
-fixture_out="$(mktemp)"
-if ./target/release/gandef-lint \
-    crates/lint/fixtures/seeded.rs \
-    crates/lint/fixtures/seeded_semantic.rs \
-    crates/lint/fixtures/seeded_concurrency.rs \
-    crates/lint/fixtures/seeded_determinism.rs >"$fixture_out" 2>&1; then
-    echo "FAIL: gandef-lint exited 0 on the seeded fixtures"
-    cat "$fixture_out"
-    rm -f "$fixture_out"
-    exit 1
-fi
-for rule in safety panic bounds knob spawn alloc cast grad shape \
-    shared lockorder atomics sync reduce nondet errprop floatcmp; do
-    if ! grep -q "\[$rule\]" "$fixture_out"; then
-        echo "FAIL: gandef-lint did not detect seeded rule [$rule]"
-        cat "$fixture_out"
-        rm -f "$fixture_out"
-        exit 1
-    fi
-done
-rm -f "$fixture_out"
-echo "self-test OK: all 17 rules detected"
-
-echo "==> gandef-lint --panics (docs/PANICS.md must be current)"
-# docs/PANICS.md is the checked-in panic-reachability report for the
-# public API. A diff here means a change added or removed a public panic
-# path: review the fresh report, then regenerate the checked-in copy with
-#   ./target/release/gandef-lint --panics docs/PANICS.md
-# and commit it alongside the change that moved the panic surface.
-fresh_panics="$(mktemp)"
-./target/release/gandef-lint --panics "$fresh_panics" >/dev/null
-if ! diff -u docs/PANICS.md "$fresh_panics"; then
-    echo "FAIL: docs/PANICS.md is stale — the public panic surface moved."
-    echo "Regenerate with: ./target/release/gandef-lint --panics docs/PANICS.md"
-    rm -f "$fresh_panics"
-    exit 1
-fi
-rm -f "$fresh_panics"
-echo "panic report OK: docs/PANICS.md matches a fresh run"
-
-echo "==> gandef-lint --concurrency (docs/CONCURRENCY.md must be current)"
-# docs/CONCURRENCY.md is the checked-in shared-state inventory: every
-# static, lock, atomic-ordering choice and unsafe Send/Sync impl in the
-# workspace, with its justification, plus the lock-acquisition-order
-# graph. A diff here means the concurrent surface moved: review the
-# fresh report, then regenerate the checked-in copy with
-#   ./target/release/gandef-lint --concurrency docs/CONCURRENCY.md
-# and commit it alongside the change that moved the surface.
-fresh_conc="$(mktemp)"
-./target/release/gandef-lint --concurrency "$fresh_conc" >/dev/null
-if ! diff -u docs/CONCURRENCY.md "$fresh_conc"; then
-    echo "FAIL: docs/CONCURRENCY.md is stale — the concurrent surface moved."
-    echo "Regenerate with: ./target/release/gandef-lint --concurrency docs/CONCURRENCY.md"
-    rm -f "$fresh_conc"
-    exit 1
-fi
-rm -f "$fresh_conc"
-echo "concurrency inventory OK: docs/CONCURRENCY.md matches a fresh run"
-
-echo "==> gandef-lint --determinism (docs/DETERMINISM.md must be current)"
-# docs/DETERMINISM.md classifies every public API of gandef-tensor,
-# gandef-nn and gandef-serve as bit-exact under f64 accumulation,
-# order-sensitive under f32, or nondeterministic (with the source cited).
-# A diff here means a change moved an API between classes — a new
-# wall-clock read, a new parallel float reduction, or a path made
-# bit-exact. Review the fresh report, then regenerate the checked-in
-# copy with
-#   ./target/release/gandef-lint --determinism docs/DETERMINISM.md
-# and commit it alongside the change that moved the classification.
-fresh_det="$(mktemp)"
-./target/release/gandef-lint --determinism "$fresh_det" >/dev/null
-if ! diff -u docs/DETERMINISM.md "$fresh_det"; then
-    echo "FAIL: docs/DETERMINISM.md is stale — a determinism class moved."
-    echo "Regenerate with: ./target/release/gandef-lint --determinism docs/DETERMINISM.md"
-    rm -f "$fresh_det"
-    exit 1
-fi
-rm -f "$fresh_det"
-echo "determinism report OK: docs/DETERMINISM.md matches a fresh run"
 
 echo "==> bench_kernels --smoke + bench_diff"
 out="$(mktemp -d)"
