@@ -1007,6 +1007,142 @@ mod tests {
         }
     }
 
+    /// The data gradient spelled out as the packed GEMM `∂cols = g × W`
+    /// over the whole batch followed by [`col2im`]: per `∂x` element, one
+    /// fresh `O`-chain per tap (rounded into `f32` at every `KC` block),
+    /// summed in raster order of the output pixels. Unlike
+    /// [`conv2d_backward_im2col`], whose `matmul` takes the unfused tiny
+    /// path on small shapes, it computes each chain the way the packed
+    /// microkernel does in both accumulation modes.
+    fn data_grad_oracle(gout: &Tensor, x: &Tensor, wt: &Tensor, spec: ConvSpec) -> Tensor {
+        let g = backward_geom(gout, x, wt, spec);
+        let (n, o, patch) = (x.dim(0), wt.dim(0), g.patch());
+        let rows = nchw_to_nhwc_rows(gout);
+        let a = MatRef {
+            data: rows.as_slice(),
+            rs: o,
+            cs: 1,
+        };
+        let b = MatRef {
+            data: wt.as_slice(),
+            rs: patch,
+            cs: 1,
+        };
+        let mut cols = vec![0.0f32; n * g.pixels() * patch];
+        linalg::gemm_panels(accum::accum(), n * g.pixels(), o, patch, &a, &b, &mut cols);
+        let cols = Tensor::from_vec(vec![n * g.pixels(), patch], cols);
+        col2im(&cols, x.shape().dims(), g.kh, g.kw, spec)
+    }
+
+    /// An upstream gradient whose entries are exact zeros with probability
+    /// `zero_pct` %, alternating between `+0` and `-0`.
+    fn sparse_grad(dims: &[usize], zero_pct: usize, salt: usize) -> Tensor {
+        Tensor::from_fn(dims, |i| {
+            let h = (i * 2_654_435_761 + salt * 40_503) % 1_000_003;
+            if h % 100 < zero_pct {
+                if h % 2 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else {
+                ((h % 193) as f32 - 96.0) / 61.0
+            }
+        })
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN (payloads
+    /// are not part of the contract; positions are).
+    fn assert_same_bits(got: &Tensor, want: &Tensor, at: &dyn std::fmt::Debug) {
+        assert_eq!(got.shape(), want.shape(), "shape at {at:?}");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            let same = if a.is_nan() || b.is_nan() {
+                a.is_nan() && b.is_nan()
+            } else {
+                a.to_bits() == b.to_bits()
+            };
+            assert!(same, "element {i}: {a:e} vs oracle {b:e} at {at:?}");
+        }
+    }
+
+    #[test]
+    fn data_gradient_matches_gemm_col2im_oracle_bitwise() {
+        // (n, c, h, w, o, kh, kw, stride, pad): the zoo's geometries (LeNet
+        // conv1/conv2, AllCNN-style 3×3 s1 p1 and s2 p1 at C = 3, 16, 32),
+        // odd widths, batches 1 and 33, and an O > KC contraction that
+        // rounds each tap's chain at a block boundary.
+        let cases: &[(
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+        )] = &[
+            (1, 1, 28, 28, 16, 5, 5, 1, 0),
+            (33, 1, 28, 28, 16, 5, 5, 1, 0),
+            (1, 16, 12, 12, 32, 5, 5, 1, 0),
+            (33, 16, 12, 12, 32, 5, 5, 1, 0),
+            (2, 3, 8, 8, 16, 3, 3, 1, 1),
+            (2, 16, 8, 8, 16, 3, 3, 1, 1),
+            (2, 32, 6, 6, 32, 3, 3, 1, 1),
+            (2, 3, 9, 9, 16, 3, 3, 2, 1),
+            (2, 16, 8, 8, 32, 3, 3, 2, 1),
+            (1, 32, 7, 7, 32, 3, 3, 2, 1),
+            (2, 3, 7, 11, 5, 3, 3, 1, 1),
+            (1, 2, 6, 13, 3, 5, 5, 1, 0),
+            (3, 2, 9, 13, 4, 3, 3, 2, 1),
+            (1, 2, 5, 5, 300, 3, 3, 1, 1),
+        ];
+        let all = cases.iter().chain(GEOMETRIES);
+        for (ci, &(n, c, h, w, o, kh, kw, stride, pad)) in all.enumerate() {
+            let spec = ConvSpec { stride, pad };
+            let x = pseudo(&[n, c, h, w], ci);
+            let wt = pseudo(&[o, c, kh, kw], 3 * ci + 1);
+            let gdims = [n, o, spec.out_dim(h, kh), spec.out_dim(w, kw)];
+            for zero_pct in [0, 80, 95] {
+                let gout = sparse_grad(&gdims, zero_pct, ci);
+                for mode in [Accum::F32, Accum::F64] {
+                    let at = (n, c, h, w, o, kh, kw, stride, pad, zero_pct, mode);
+                    let got = with_accum(mode, || conv2d_backward_data(&gout, &x, &wt, spec));
+                    let want = with_accum(mode, || data_grad_oracle(&gout, &x, &wt, spec));
+                    assert_same_bits(&got, &want, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn data_gradient_with_non_finite_weights_matches_oracle() {
+        // 0·∞ = NaN: a non-finite weight must poison exactly the elements
+        // whose taps reach it, even through exact-zero upstream entries,
+        // and no others.
+        for &(n, c, h, w, o, k, stride, pad) in &[
+            (2, 1, 28, 28, 16, 5, 1, 0),
+            (2, 16, 12, 12, 32, 5, 1, 0),
+            (2, 3, 9, 9, 8, 3, 2, 1),
+        ] {
+            let spec = ConvSpec { stride, pad };
+            let x = pseudo(&[n, c, h, w], 5);
+            let mut wt = pseudo(&[o, c, k, k], 6);
+            let last = wt.numel() - 1;
+            wt.as_mut_slice()[k + 1] = f32::INFINITY;
+            wt.as_mut_slice()[last] = f32::NEG_INFINITY;
+            wt.as_mut_slice()[last / 2] = f32::NAN;
+            let gdims = [n, o, spec.out_dim(h, k), spec.out_dim(w, k)];
+            let gout = sparse_grad(&gdims, 95, 7);
+            for mode in [Accum::F32, Accum::F64] {
+                let got = with_accum(mode, || conv2d_backward_data(&gout, &x, &wt, spec));
+                let want = with_accum(mode, || data_grad_oracle(&gout, &x, &wt, spec));
+                assert!(got.as_slice().iter().any(|v| v.is_nan()));
+                assert_same_bits(&got, &want, &(n, c, h, w, o, k, stride, pad, mode));
+            }
+        }
+    }
+
     #[test]
     fn backward_halves_match_the_whole_backward_bitwise() {
         for &(n, c, h, w, o, kh, kw, stride, pad) in GEOMETRIES {

@@ -45,6 +45,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> conv data-gradient oracle without FMA and on a 4-thread pool"
+# The f32 data gradient must equal the GEMM + col2im oracle bit for bit
+# whichever microkernel runs and however the batch is split.
+GANDEF_NO_FMA=1 cargo test -q -p gandef-tensor --lib data_gradient
+GANDEF_THREADS=4 cargo test -q -p gandef-tensor --lib data_gradient
+
 echo "==> gandef-lint (workspace must be clean, within the time budget)"
 # scripts/lint_budget.txt holds the baseline total lint wall time in
 # milliseconds; the run fails if this machine takes more than 3x that —
