@@ -189,6 +189,19 @@ fn main() {
         samples,
         || conv::conv2d_backward_data(&lenet_g, &lenet_x, &lenet_w, lenet_spec),
     ));
+    // The data half at LeNet's conv1 shape (1→16 channels, 5×5 on 28×28),
+    // the input layer every attack step differentiates through.
+    let c1_x = rng.uniform_tensor(&[32, 1, 28, 28], 0.0, 1.0);
+    let c1_w = rng.uniform_tensor(&[16, 1, 5, 5], -0.5, 0.5);
+    let c1_g = rng.uniform_tensor(&[32, 16, 24, 24], -1.0, 1.0);
+    results.push(microbench::run(
+        "conv2d_backward_data_c1",
+        "32x1x28x28*16x1x5x5",
+        2 * 32 * 16 * 24 * 24 * 25,
+        warmup,
+        samples,
+        || conv::conv2d_backward_data(&c1_g, &c1_x, &c1_w, lenet_spec),
+    ));
     results.push(microbench::run(
         "im2col",
         &format!("{batch}x3x32x32 k3s1p1"),

@@ -99,36 +99,6 @@ impl Conc<'_, '_> {
         });
     }
 
-    /// Candidate "statement start" lines for code-index `p`: the token
-    /// after the nearest preceding `;`/`{`/`}`, plus — when that boundary
-    /// is a `{` — the brace's own line. The latter is what lets one
-    /// annotation above a multi-line struct-literal statement
-    /// (`Stats { a: x.load(Relaxed), … }`) cover every field line.
-    fn stmt_lines(&self, p: usize) -> Vec<usize> {
-        let mut q = p;
-        while q > 0 {
-            let t = self.ct(q - 1);
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                break;
-            }
-            q -= 1;
-        }
-        let mut lines = vec![self.ct(q).line];
-        if q > 0 && self.ct(q - 1).is_punct('{') {
-            lines.push(self.ct(q - 1).line);
-        }
-        lines
-    }
-
-    /// Suppression honoring the site line and its statement start(s).
-    fn suppressed(&self, p: usize, rule: Rule) -> bool {
-        self.ctx.suppressed(self.ct(p).line, rule)
-            || self
-                .stmt_lines(p)
-                .iter()
-                .any(|&l| self.ctx.suppressed(l, rule))
-    }
-
     /// Comments in the statement window of code-index `p`: every comment
     /// between `p`'s raw position and the nearest preceding code `;`,
     /// `{` or `}` — the same window the `safety` rule uses.
@@ -207,7 +177,7 @@ impl Conc<'_, '_> {
                 line: t.line,
                 note: excerpt.clone().unwrap_or_default(),
             });
-            if self.suppressed(p, Rule::Shared) {
+            if self.ctx.stmt_suppressed(p, Rule::Shared) {
                 continue;
             }
             if is_mut {
@@ -433,7 +403,7 @@ impl Conc<'_, '_> {
             }
             let window = self.window_comments(p);
             let pair_comment = window.iter().find(|c| c.contains("pairs with"));
-            let allowed = self.suppressed(p, Rule::Atomics);
+            let allowed = self.ctx.stmt_suppressed(p, Rule::Atomics);
             let note = if let Some(c) = pair_comment {
                 excerpt_around(c, "pairs with")
             } else if allowed {
@@ -476,7 +446,7 @@ impl Conc<'_, '_> {
     /// code-index `p`, for the inventory.
     fn allow_reason(&self, p: usize) -> String {
         let mut lines = vec![self.ct(p).line];
-        lines.extend(self.stmt_lines(p));
+        lines.extend(self.ctx.stmt_lines(p));
         for &l in &lines {
             // Same block-walk as suppressed_at: the line itself, then the
             // contiguous comment block above.
@@ -593,7 +563,7 @@ impl Conc<'_, '_> {
                 line: t.line,
                 note: cited.join(", "),
             });
-            if cited.is_empty() && !self.suppressed(p, Rule::Sync) {
+            if cited.is_empty() && !self.ctx.stmt_suppressed(p, Rule::Sync) {
                 self.violation(
                     report,
                     t,

@@ -56,34 +56,6 @@ impl Det<'_, '_> {
         });
     }
 
-    /// Candidate statement-start lines for code-index `p` (same window
-    /// the concurrency rules use), so one annotation above a multi-line
-    /// statement covers every line of it.
-    fn stmt_lines(&self, p: usize) -> Vec<usize> {
-        let mut q = p;
-        while q > 0 {
-            let t = self.ct(q - 1);
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-                break;
-            }
-            q -= 1;
-        }
-        let mut lines = vec![self.ct(q).line];
-        if q > 0 && self.ct(q - 1).is_punct('{') {
-            lines.push(self.ct(q - 1).line);
-        }
-        lines
-    }
-
-    /// Suppression honoring the site line and its statement start(s).
-    fn suppressed(&self, p: usize, rule: Rule) -> bool {
-        self.ctx.suppressed(self.ct(p).line, rule)
-            || self
-                .stmt_lines(p)
-                .iter()
-                .any(|&l| self.ctx.suppressed(l, rule))
-    }
-
     /// The innermost parsed fn whose body span contains code-index `p`.
     fn enclosing_fn_def(&self, p: usize) -> Option<&FnDef> {
         self.parsed
@@ -133,7 +105,7 @@ impl Det<'_, '_> {
             let Some(what) = self.nondet_source_at(p) else {
                 continue;
             };
-            if self.suppressed(p, Rule::Nondet) {
+            if self.ctx.stmt_suppressed(p, Rule::Nondet) {
                 continue;
             }
             let t = self.ct(p);
@@ -176,7 +148,10 @@ impl Det<'_, '_> {
                 // `let _ = unsafe { … }` is the read-for-effect idiom
                 // (materializing a place), not a Result drop.
                 let head_unsafe = p + 3 < self.n_code() && self.ct(p + 3).is_ident("unsafe");
-                if !head_unsafe && self.stmt_has_call(p + 3) && !self.suppressed(p, Rule::Errprop) {
+                if !head_unsafe
+                    && self.stmt_has_call(p + 3)
+                    && !self.ctx.stmt_suppressed(p, Rule::Errprop)
+                {
                     let t = self.ct(p);
                     self.violation(
                         report,
@@ -199,7 +174,7 @@ impl Det<'_, '_> {
                 && self.ct(p + 2).is_punct('(')
                 && self.ct(p + 3).is_punct(')')
                 && self.ct(p + 4).is_punct(';')
-                && !self.suppressed(p + 1, Rule::Errprop)
+                && !self.ctx.stmt_suppressed(p + 1, Rule::Errprop)
             {
                 let t = self.ct(p + 1);
                 self.violation(

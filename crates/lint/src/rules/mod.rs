@@ -346,6 +346,34 @@ impl<'a> FileCtx<'a> {
         suppressed_at(&self.comments, line, rule)
     }
 
+    /// Candidate "statement start" lines for code-index `p`: the token
+    /// after the nearest preceding `;`/`{`/`}`, plus — when that boundary
+    /// is a `{` — the brace's own line. The latter is what lets one
+    /// annotation above a multi-line struct-literal statement
+    /// (`Stats { a: x.load(Relaxed), … }`) cover every field line.
+    fn stmt_lines(&self, p: usize) -> Vec<usize> {
+        let mut q = p;
+        while q > 0 {
+            let t = self.ct(q - 1);
+            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
+                break;
+            }
+            q -= 1;
+        }
+        let mut lines = vec![self.ct(q).line];
+        if q > 0 && self.ct(q - 1).is_punct('{') {
+            lines.push(self.ct(q - 1).line);
+        }
+        lines
+    }
+
+    /// Suppression honoring code-index `p`'s own line and its statement
+    /// start(s), as the concurrency and determinism rules annotate.
+    fn stmt_suppressed(&self, p: usize, rule: Rule) -> bool {
+        self.suppressed(self.ct(p).line, rule)
+            || self.stmt_lines(p).iter().any(|&l| self.suppressed(l, rule))
+    }
+
     fn in_test_span(&self, p: usize) -> bool {
         self.test_spans.iter().any(|&(s, e)| s <= p && p <= e)
     }

@@ -11,8 +11,9 @@
 //! The weight gradient is the transposed GEMM `∂Wᵀ = cols · g` over all
 //! `N·Ho·Wo` pixels. There the patches are the A operand, so only one
 //! `MC × KC` block of the column matrix is ever packed, while the gradient
-//! is packed whole as B. The data gradient fuses the col2im adjoint into
-//! a per-example tile-then-scatter.
+//! is packed whole as B. The data gradient is a direct transposed
+//! convolution that writes `∂x` in place, with no `∂cols` matrix and no
+//! scatter; it reproduces the GEMM-then-[`col2im`] order bit for bit.
 //!
 //! The fused path is the one production lowering. The classic
 //! im2col-then-GEMM lowering survives only as plain oracle functions
@@ -21,7 +22,7 @@
 //! both lowerings compute the identical exactly-rounded `k`-ordered chain
 //! per output element, so they agree bit-for-bit.
 
-use crate::accum;
+use crate::accum::{self, Accum};
 use crate::linalg::{self, MatRef, PackA, PackB, MR, NR};
 use crate::{pool, Shape, Tensor};
 
@@ -63,7 +64,8 @@ impl ConvSpec {
     }
 }
 
-/// Per-call convolution geometry, shared by the packers and the scatter.
+/// Per-call convolution geometry, shared by the packers, [`col2im`] and
+/// the data gradient.
 #[derive(Clone, Copy)]
 struct Geom {
     c: usize,
@@ -360,48 +362,41 @@ pub fn col2im(cols: &Tensor, input_dims: &[usize], kh: usize, kw: usize, spec: C
     // The scatter for example `b` only ever touches `b`'s own [C, H, W]
     // block, so batches accumulate independently in parallel; within one
     // example the patch order is fixed, keeping the sums deterministic.
+    // That order — output pixels in raster order, so for each input
+    // element its taps with `ky` and then `kx` descending — is the one
+    // [`conv2d_backward_data`] reproduces bit for bit.
     pool::parallel_for_mut(&mut out, c * h * w, 1, |b0, chunk| {
         for (bi, block) in chunk.chunks_mut(c * h * w).enumerate() {
             let b = b0 + bi;
             let rows = &src[b * g.pixels() * cols_w..(b + 1) * g.pixels() * cols_w];
-            scatter_patch_rows(rows, block, g);
-        }
-    });
-    Tensor::from_vec(input_dims.to_vec(), out)
-}
-
-/// The per-example col2im body, shared by [`col2im`] and the fused data
-/// gradient: scatters `[Ho·Wo, C·kh·kw]` patch-gradient rows into a
-/// `[C, H, W]` block, accumulating where patches overlap. One fixed loop
-/// order means the fused and im2col backward paths produce bit-identical
-/// sums from identical rows.
-fn scatter_patch_rows(rows: &[f32], block: &mut [f32], g: Geom) {
-    let patch = g.patch();
-    for oy in 0..g.ho {
-        for ox in 0..g.wo {
-            let row = (oy * g.wo + ox) * patch;
-            let iy0 = (oy * g.stride) as isize - g.pad as isize;
-            let ix0 = (ox * g.stride) as isize - g.pad as isize;
-            for ch in 0..g.c {
-                let chan = ch * g.h * g.w;
-                for ky in 0..g.kh {
-                    let iy = iy0 + ky as isize;
-                    if iy < 0 || iy >= g.h as isize {
-                        continue;
-                    }
-                    let line = chan + iy as usize * g.w;
-                    let srow = row + (ch * g.kh + ky) * g.kw;
-                    for kx in 0..g.kw {
-                        let ix = ix0 + kx as isize;
-                        if ix < 0 || ix >= g.w as isize {
-                            continue;
+            for oy in 0..g.ho {
+                for ox in 0..g.wo {
+                    let row = (oy * g.wo + ox) * cols_w;
+                    let iy0 = (oy * g.stride) as isize - g.pad as isize;
+                    let ix0 = (ox * g.stride) as isize - g.pad as isize;
+                    for ch in 0..g.c {
+                        let chan = ch * g.h * g.w;
+                        for ky in 0..g.kh {
+                            let iy = iy0 + ky as isize;
+                            if iy < 0 || iy >= g.h as isize {
+                                continue;
+                            }
+                            let line = chan + iy as usize * g.w;
+                            let srow = row + (ch * g.kh + ky) * g.kw;
+                            for kx in 0..g.kw {
+                                let ix = ix0 + kx as isize;
+                                if ix < 0 || ix >= g.w as isize {
+                                    continue;
+                                }
+                                block[line + ix as usize] += rows[srow + kx];
+                            }
                         }
-                        block[line + ix as usize] += rows[srow + kx];
                     }
                 }
             }
         }
-    }
+    });
+    Tensor::from_vec(input_dims.to_vec(), out)
 }
 
 /// Forward 2-D convolution: `input [N, C, H, W]` with filters
@@ -491,9 +486,9 @@ pub fn conv2d_im2col(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> (Tensor
 /// that needs only one of the two calls directly.
 ///
 /// Neither half materializes the whole column matrix or its gradient: the
-/// data half tiles one example's `∂cols` at a time, and the weight half
-/// packs the patches one `MC × KC` block at a time. Under
-/// [`crate::accum::Accum::F64`] the pair is bit-identical to
+/// data half is a direct transposed convolution that never forms `∂cols`,
+/// and the weight half packs the patches one `MC × KC` block at a time.
+/// Under [`crate::accum::Accum::F64`] the pair is bit-identical to
 /// [`conv2d_backward_im2col`].
 ///
 /// # Panics
@@ -513,11 +508,16 @@ pub fn conv2d_backward(
 
 /// The data half of [`conv2d_backward`]: `∂x [N, C, H, W]` alone.
 ///
-/// Per example, `∂cols_b = g_b × W` is tiled into a scratch buffer by the
-/// packed kernel and immediately scattered col2im-style into that
-/// example's `[C, H, W]` gradient block — the full `[N·Ho·Wo, C·kh·kw]`
-/// gradient matrix never exists. Examples parallelize exactly like
-/// [`col2im`], with a fixed within-example order.
+/// A direct transposed convolution that writes each example's `[C, H, W]`
+/// gradient block in place: no `∂cols` matrix and no col2im scatter.
+/// Every tap value (the contraction `Σₒ g[o, oy, ox] · W[o, ch, ky, kx]`
+/// of one output pixel with one filter tap) is computed as the packed
+/// GEMM microkernel would compute `∂cols = g × W`, and each `∂x` element
+/// sums its taps in [`col2im`]'s order, so the result equals that
+/// GEMM-then-col2im lowering bit for bit in every accumulation and FMA
+/// mode. Examples parallelize like [`col2im`], one task
+/// per example range with a fixed within-example order, so the result
+/// does not depend on the pool size.
 ///
 /// # Panics
 ///
@@ -531,36 +531,436 @@ pub fn conv2d_backward_data(
     let g = backward_geom(grad_out, input, weight, spec);
     let (n, o) = (input.dim(0), weight.dim(0));
     let mode = accum::accum();
-    let (pixels, patch) = (g.pixels(), g.patch());
+    let pixels = g.pixels();
     let gdat = grad_out.as_slice();
-    let w_mat = MatRef {
-        data: weight.as_slice(),
-        rs: patch,
-        cs: 1,
-    };
     let plane = g.c * g.h * g.w;
     let mut out = vec![0.0f32; n * plane];
     pool::parallel_for_mut(&mut out, plane, 1, |b0, chunk| {
-        // Per-task scratch for one example's ∂cols rows, reused across the
-        // examples this task owns.
-        let mut rows = vec![0.0f32; pixels * patch];
+        // Per-task tap rows of one (channel, ky) pass, reused across the
+        // examples this task owns; their zero margins are never written.
+        let mut taps = vec![0.0f32; g.ho * g.kw * tap_row_len(g)];
         for (bi, block) in chunk.chunks_mut(plane).enumerate() {
             let b = b0 + bi;
-            rows.fill(0.0);
-            // The example's gradient as a strided [Ho·Wo, O] view: NCHW
-            // means pixel stride 1, channel stride Ho·Wo.
-            let gb = MatRef {
+            let job = TapJob {
                 // lint:allow(shape) — `backward_geom` asserted `grad_out`
                 // is `[N, O, Ho, Wo]`, so each example's block is in bounds.
-                data: &gdat[b * o * pixels..(b + 1) * o * pixels],
-                rs: 1,
-                cs: pixels,
+                grad: &gdat[b * o * pixels..(b + 1) * o * pixels],
+                weight: weight.as_slice(),
+                o,
+                g,
             };
-            linalg::gemm_panels(mode, pixels, o, patch, &gb, &w_mat, &mut rows);
-            scatter_patch_rows(&rows, block, g);
+            transposed_conv(mode, &job, &mut taps, block);
         }
     });
     Tensor::from_vec(vec![n, g.c, g.h, g.w], out)
+}
+
+/// Lanes of one tap vector: eight adjacent output pixels of one row.
+const LANES: usize = 8;
+
+/// One example's data-gradient operands.
+struct TapJob<'a> {
+    /// The example's `[O, Ho, Wo]` upstream gradient.
+    grad: &'a [f32],
+    /// The whole `[O, C, kh, kw]` filter bank.
+    weight: &'a [f32],
+    o: usize,
+    g: Geom,
+}
+
+/// Length of one tap row in the scratch: the `Wo` tap values of one
+/// (output row, `kx`) pair between zero margins wide enough that every
+/// lane [`add_taps`] reads lands inside the row — a lane whose output
+/// column falls outside `0..Wo` reads `+0`.
+fn tap_row_len(g: Geom) -> usize {
+    2 * g.kw + g.wo + LANES
+}
+
+/// One tap's `O`-chain, `LANES` output pixels wide, in one accumulation
+/// mode. Each mode is the packed GEMM microkernel's per-element chain:
+/// a fresh accumulator from `+0`, one `step` per output channel in order,
+/// flushed into the `f32` tap value by `tap += acc` after every `BLOCK`
+/// channels, starting from `tap = +0`.
+trait Chain {
+    type Acc: Copy;
+    /// Channels per flush: the microkernel's `KC` depth block in `f32`;
+    /// the `f64` chain is rounded once, at the end.
+    const BLOCK: usize;
+    fn zero() -> Self::Acc;
+    /// `acc += g · w`, lane by lane.
+    fn step(acc: &mut Self::Acc, g: &[f32; LANES], w: f32);
+    /// Adds the chain into `tap` (or starts it when `first`), lane by lane.
+    fn flush(acc: &Self::Acc, tap: &mut [f32; LANES], first: bool);
+}
+
+/// `f32` with fused multiply-add, as the AVX2+FMA microkernel.
+#[cfg(target_arch = "x86_64")]
+struct Fused;
+/// `f32` with a rounded multiply and a rounded add, as the portable
+/// microkernel (`GANDEF_NO_FMA=1`, or no FMA on the CPU).
+struct Unfused;
+/// The `f64` chain of [`crate::accum::Accum::F64`]: exact products,
+/// rounded to `f32` once.
+struct Wide;
+
+#[cfg(target_arch = "x86_64")]
+impl Chain for Fused {
+    type Acc = [f32; LANES];
+    const BLOCK: usize = linalg::KC;
+    #[inline(always)]
+    fn zero() -> Self::Acc {
+        [0.0; LANES]
+    }
+    #[inline(always)]
+    fn step(acc: &mut Self::Acc, g: &[f32; LANES], w: f32) {
+        for (a, &x) in acc.iter_mut().zip(g) {
+            *a = x.mul_add(w, *a);
+        }
+    }
+    #[inline(always)]
+    fn flush(acc: &Self::Acc, tap: &mut [f32; LANES], first: bool) {
+        flush_f32(acc, tap, first);
+    }
+}
+
+impl Chain for Unfused {
+    type Acc = [f32; LANES];
+    const BLOCK: usize = linalg::KC;
+    #[inline(always)]
+    fn zero() -> Self::Acc {
+        [0.0; LANES]
+    }
+    #[inline(always)]
+    fn step(acc: &mut Self::Acc, g: &[f32; LANES], w: f32) {
+        for (a, &x) in acc.iter_mut().zip(g) {
+            *a += x * w;
+        }
+    }
+    #[inline(always)]
+    fn flush(acc: &Self::Acc, tap: &mut [f32; LANES], first: bool) {
+        flush_f32(acc, tap, first);
+    }
+}
+
+impl Chain for Wide {
+    type Acc = [f64; LANES];
+    const BLOCK: usize = usize::MAX;
+    #[inline(always)]
+    fn zero() -> Self::Acc {
+        [0.0; LANES]
+    }
+    #[inline(always)]
+    fn step(acc: &mut Self::Acc, g: &[f32; LANES], w: f32) {
+        let w = w as f64;
+        for (a, &x) in acc.iter_mut().zip(g) {
+            *a += x as f64 * w;
+        }
+    }
+    #[inline(always)]
+    fn flush(acc: &Self::Acc, tap: &mut [f32; LANES], _first: bool) {
+        for (t, &a) in tap.iter_mut().zip(acc) {
+            // lint:allow(cast) — the f64 mode rounds each tap's chain to
+            // f32 exactly once, here, as the f64 GEMM rounds its output.
+            *t = a as f32;
+        }
+    }
+}
+
+/// The `f32` flush: the microkernel's `C += tile` into a zeroed `C`.
+#[inline(always)]
+fn flush_f32(acc: &[f32; LANES], tap: &mut [f32; LANES], first: bool) {
+    if first {
+        for (t, &a) in tap.iter_mut().zip(acc) {
+            *t = 0.0 + a;
+        }
+    } else {
+        for (t, &a) in tap.iter_mut().zip(acc) {
+            *t += a;
+        }
+    }
+}
+
+/// Dispatches one example to the chain the GEMM microkernel would use:
+/// the AVX2+FMA build when [`linalg::fma_available`] (which also runs the
+/// `f64` chain, exactly as the `f64` microkernel gates its AVX2 path),
+/// the portable build otherwise.
+fn transposed_conv(mode: Accum, job: &TapJob<'_>, taps: &mut [f32], block: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if linalg::fma_available() {
+        // SAFETY: `fma_available` verified avx2+fma support at runtime.
+        unsafe {
+            match mode {
+                Accum::F32 => transposed_conv_avx2::<Fused>(job, taps, block),
+                Accum::F64 => transposed_conv_avx2::<Wide>(job, taps, block),
+            }
+        }
+        return;
+    }
+    match mode {
+        Accum::F32 => transposed_conv_body::<Unfused>(job, taps, block),
+        Accum::F64 => transposed_conv_body::<Wide>(job, taps, block),
+    }
+}
+
+/// [`transposed_conv_body`] compiled for AVX2+FMA. Rust never contracts a
+/// multiply and an add on its own, so the [`Unfused`] and [`Wide`] chains
+/// keep their rounding here; only [`Fused`]'s explicit `mul_add` fuses.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2+FMA support at runtime (see
+/// [`linalg::fma_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn transposed_conv_avx2<L: Chain>(job: &TapJob<'_>, taps: &mut [f32], block: &mut [f32]) {
+    transposed_conv_body::<L>(job, taps, block);
+}
+
+/// One example's `∂x`, in two passes per (input channel, `ky`), with `ky`
+/// descending:
+/// 1. [`chain_taps`] computes the tap values of every output row whose
+///    tap `ky` lands inside the image, for every `kx`: `Ho'·kw·Wo` chains,
+///    each useful, `LANES` output pixels at a time.
+/// 2. [`add_taps`] adds them into the input rows they reach, each element
+///    taking its taps with `kx` descending.
+///
+/// Per element that is col2im's order: its taps come from output pixels
+/// in raster order, so `ky` and then `kx` descend. Out-of-range taps are
+/// never formed, so a non-finite weight poisons exactly the elements
+/// col2im's scatter would.
+#[inline(always)]
+fn transposed_conv_body<L: Chain>(job: &TapJob<'_>, taps: &mut [f32], block: &mut [f32]) {
+    let g = job.g;
+    let trow = tap_row_len(g);
+    for (ch, chan) in block.chunks_exact_mut(g.h * g.w).enumerate() {
+        for ky in (0..g.kh).rev() {
+            // Output rows oy with iy = oy·stride + ky − pad inside 0..H.
+            let oy0 = g.pad.saturating_sub(ky).div_ceil(g.stride);
+            let oy1 = (g.h + g.pad)
+                .saturating_sub(ky)
+                .div_ceil(g.stride)
+                .min(g.ho);
+            if oy0 >= oy1 {
+                continue;
+            }
+            chain_taps::<L>(job, (ch, ky), (oy0, oy1), taps);
+            for oy in oy0..oy1 {
+                let iy = oy * g.stride + ky - g.pad;
+                let rows = &taps[(oy - oy0) * g.kw * trow..][..g.kw * trow];
+                add_taps(&mut chan[iy * g.w..(iy + 1) * g.w], rows, g);
+            }
+        }
+    }
+}
+
+/// Pass 1: writes the tap values of channel `ch`, row `ky`, output rows
+/// `oy0..oy1` and every `kx` into `taps` (`[oy − oy0][kx]` rows of
+/// [`tap_row_len`], values at offset `kw`). Taps go `K` ≤ 5 at a time and
+/// full lane vectors `R` at a time, so each `g` vector load feeds `K`
+/// chains and each weight `R`; `R·K` ≤ 12 accumulators, the `K` weights
+/// and one `g` vector about fill the sixteen AVX2 registers.
+#[inline(always)]
+fn chain_taps<L: Chain>(
+    job: &TapJob<'_>,
+    tap: (usize, usize),
+    oys: (usize, usize),
+    taps: &mut [f32],
+) {
+    let kw = job.g.kw;
+    let mut kx0 = 0;
+    while kx0 < kw {
+        let k = (kw - kx0).min(5);
+        let at = (tap.0, tap.1, kx0);
+        match k {
+            1 => chain_rows::<L, 8, 1>(job, at, oys, taps),
+            2 => chain_rows::<L, 6, 2>(job, at, oys, taps),
+            3 => chain_rows::<L, 4, 3>(job, at, oys, taps),
+            4 => chain_rows::<L, 3, 4>(job, at, oys, taps),
+            _ => chain_rows::<L, 2, 5>(job, at, oys, taps),
+        }
+        kx0 += k;
+    }
+}
+
+/// Taps `kx0..kx0 + K` of pass 1 over output rows `oy0..oy1`: full lane
+/// vectors in tiles of `R`, the rest one at a time, and a row's last
+/// `Wo mod LANES` pixels as a partial vector.
+#[inline(always)]
+fn chain_rows<L: Chain, const R: usize, const K: usize>(
+    job: &TapJob<'_>,
+    (ch, ky, kx0): (usize, usize, usize),
+    (oy0, oy1): (usize, usize),
+    taps: &mut [f32],
+) {
+    let g = job.g;
+    let trow = tap_row_len(g);
+    let weight = &job.weight[(ch * g.kh + ky) * g.kw + kx0..];
+    let full = g.wo / LANES * LANES;
+    // A vector's (gradient offset in one channel's plane, tap-row offset).
+    let at = |row: usize, ox: usize| {
+        (
+            (oy0 + row) * g.wo + ox,
+            (row * g.kw + kx0) * trow + g.kw + ox,
+        )
+    };
+    let mut tile = [(0, 0); R];
+    let mut filled = 0;
+    for row in 0..oy1 - oy0 {
+        for ox in (0..full).step_by(LANES) {
+            tile[filled] = at(row, ox);
+            filled += 1;
+            if filled == R {
+                chain_tile::<L, R, K, false>(job, weight, tile, LANES, taps);
+                filled = 0;
+            }
+        }
+    }
+    for &vector in &tile[..filled] {
+        chain_tile::<L, 1, K, false>(job, weight, [vector], LANES, taps);
+    }
+    if full < g.wo {
+        for row in 0..oy1 - oy0 {
+            let vector = [at(row, full)];
+            chain_tile::<L, 1, K, true>(job, weight, vector, g.wo - full, taps);
+        }
+    }
+}
+
+/// `R` lane vectors × `K` taps of pass 1: each chain runs over all `O`
+/// output channels, flushed every [`Chain::BLOCK`]. `tile[r]` is vector
+/// `r`'s (gradient offset, tap-row offset); only its first `n` lanes are
+/// loaded and stored (`n < LANES` only when `PARTIAL`).
+#[inline(always)]
+fn chain_tile<L: Chain, const R: usize, const K: usize, const PARTIAL: bool>(
+    job: &TapJob<'_>,
+    weight: &[f32],
+    tile: [(usize, usize); R],
+    n: usize,
+    taps: &mut [f32],
+) {
+    let (g, o, pixels, patch) = (job.g, job.o, job.g.pixels(), job.g.patch());
+    let trow = tap_row_len(g);
+    // Every read below stays inside the operands: lanes px..px + n of each
+    // gradient plane, taps kx0..kx0 + K of each weight row.
+    assert!(job.grad.len() >= o * pixels && weight.len() >= o.saturating_sub(1) * patch + K);
+    assert!(tile.iter().all(|&(px, _)| px + n <= pixels));
+    debug_assert!(n == LANES || PARTIAL);
+    let (gp, wp) = (job.grad.as_ptr(), weight.as_ptr());
+    let mut o0 = 0;
+    while o0 < o {
+        let o1 = o.saturating_sub(o0).min(L::BLOCK) + o0;
+        let mut acc = [[L::zero(); K]; R];
+        for oi in o0..o1 {
+            // SAFETY: oi < o, so the asserts above put taps kx0..kx0 + K of
+            // weight row oi in bounds.
+            let wv = unsafe { wp.add(oi * patch).cast::<[f32; K]>().read_unaligned() };
+            for (acc_r, &(px, _)) in acc.iter_mut().zip(&tile) {
+                let gv: [f32; LANES] = if PARTIAL {
+                    let mut v = [0.0f32; LANES];
+                    v[..n].copy_from_slice(&job.grad[oi * pixels + px..][..n]);
+                    v
+                } else {
+                    // SAFETY: oi < o and n = LANES, so the asserts above put
+                    // lanes px..px + LANES of gradient plane oi in bounds.
+                    unsafe {
+                        gp.add(oi * pixels + px)
+                            .cast::<[f32; LANES]>()
+                            .read_unaligned()
+                    }
+                };
+                for (a, &w) in acc_r.iter_mut().zip(&wv) {
+                    L::step(a, &gv, w);
+                }
+            }
+        }
+        for (acc_r, &(_, dst)) in acc.iter().zip(&tile) {
+            for (k, a) in acc_r.iter().enumerate() {
+                let row = &mut taps[dst + k * trow..];
+                if PARTIAL {
+                    let mut t = [0.0f32; LANES];
+                    t[..n].copy_from_slice(&row[..n]);
+                    L::flush(a, &mut t, o0 == 0);
+                    row[..n].copy_from_slice(&t[..n]);
+                } else {
+                    L::flush(a, first_n_mut(row), o0 == 0);
+                }
+            }
+        }
+        o0 = o1;
+    }
+}
+
+/// The first `N` elements of `s` as an array reference.
+///
+/// # Panics
+///
+/// Panics if `s` is shorter than `N`.
+#[inline(always)]
+fn first_n<const N: usize>(s: &[f32]) -> &[f32; N] {
+    match s[..N].try_into() {
+        Ok(a) => a,
+        Err(_) => unreachable!("a slice of length N converts"),
+    }
+}
+
+/// The first `N` elements of `s` as a mutable array reference.
+///
+/// # Panics
+///
+/// Panics if `s` is shorter than `N`.
+#[inline(always)]
+fn first_n_mut<const N: usize>(s: &mut [f32]) -> &mut [f32; N] {
+    match (&mut s[..N]).try_into() {
+        Ok(a) => a,
+        Err(_) => unreachable!("a slice of length N converts"),
+    }
+}
+
+/// Pass 2: adds one output row's tap values (`rows`, its `kw` tap rows)
+/// into the input row `line` they reach. Input column `ix` takes tap `kx`
+/// from output column `ox = (ix + pad − kx) / stride` when that divides
+/// exactly, so the columns split into `stride` classes by `ix mod stride`:
+/// within a class, `LANES` consecutive columns read `LANES` consecutive
+/// tap values of each `kx` that serves the class. Lanes whose `ox` falls
+/// outside `0..Wo` read the rows' `+0` margins, which leave an element
+/// unchanged: an element starts at `+0` and a sum is never `−0`, so adding
+/// `+0` is exact.
+#[inline(always)]
+fn add_taps(line: &mut [f32], rows: &[f32], g: Geom) {
+    let (s, trow) = (g.stride, tap_row_len(g));
+    for class in 0..s.min(g.w) {
+        let lanes = (g.w - class).div_ceil(s);
+        // The taps serving the class are kx ≡ class + pad (mod stride);
+        // the j-th of them, kx = kx0 + j·stride, reads output columns from
+        // (class + pad − kx) / stride = base − j on.
+        let (base, kx0) = ((class + g.pad) / s, (class + g.pad) % s);
+        for l0 in (0..lanes).step_by(LANES) {
+            let n = (lanes - l0).min(LANES);
+            let first = class + l0 * s;
+            let contiguous = s == 1 && n == LANES;
+            let mut acc = [0.0f32; LANES];
+            if contiguous {
+                acc = *first_n(&line[first..]);
+            } else {
+                for (a, &v) in acc.iter_mut().zip(line[first..].iter().step_by(s)).take(n) {
+                    *a = v;
+                }
+            }
+            for (j, kx) in (kx0..g.kw).step_by(s).enumerate().rev() {
+                let tv: &[f32; LANES] = first_n(&rows[kx * trow + g.kw + base - j + l0..]);
+                for (a, &t) in acc.iter_mut().zip(tv) {
+                    *a += t;
+                }
+            }
+            if contiguous {
+                line[first..first + LANES].copy_from_slice(&acc);
+            } else {
+                for (d, &a) in line[first..].iter_mut().step_by(s).zip(&acc).take(n) {
+                    *d = a;
+                }
+            }
+        }
+    }
 }
 
 /// The weight half of [`conv2d_backward`]: `∂W [O, C, kh, kw]` alone.

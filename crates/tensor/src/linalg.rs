@@ -439,7 +439,7 @@ fn microkernel(
 /// FMA rounds differently, so this is the knob for bit-identical runs
 /// across machines with different feature sets.
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
+pub(crate) fn fma_available() -> bool {
     use std::sync::atomic::{AtomicU8, Ordering};
     /// Memoized CPU-feature probe: 0 unknown, 1 no-FMA, 2 FMA.
     static STATE: AtomicU8 = AtomicU8::new(0);

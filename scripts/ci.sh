@@ -69,7 +69,7 @@ trap 'rm -rf "$out"' EXIT
 # --require list pins the kernels the gate must actually compare, so
 # dropping e.g. the fused conv entries from the bench run fails loudly.
 ./target/release/bench_diff --baseline BENCH_tensor.json --fresh "$out/BENCH_smoke.json" \
-    --require matmul,conv2d,conv2d_im2col,conv2d_backward,elementwise_add,sum
+    --require matmul,conv2d,conv2d_im2col,conv2d_backward,conv2d_backward_data,elementwise_add,sum
 
 echo "==> perfbench train-zk, train-pgd, serve-mixed (output checks)"
 # The benchmark builds against the library crates by path, so these

@@ -36,6 +36,9 @@ use zk_gandef_repro::tensor::Tensor;
 
 const IN: usize = 12;
 const OUT: usize = 5;
+/// A client fleet that has not reported by then is wedged in
+/// `Pending::wait`: the tests that run one fail instead of hanging.
+const JOIN_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Serializes the tests in this binary: two of them arm the
 /// process-global fault injector at serving sites every server in this
@@ -275,30 +278,35 @@ fn reload_under_contention_never_mixes_snapshots() {
         .max_wait(Duration::from_micros(200))
         .accum(Accum::F64)
         .reload_poll(Duration::from_millis(1));
-    let server = Server::with_hot_reload(
+    let server = Arc::new(Server::with_hot_reload(
         fingerprint_model(),
         fingerprint_params(1.0),
         vec![IN],
         cfg,
         ckpt.clone(),
-    );
+    ));
 
-    let xs = examples(CLIENTS, 41);
-    std::thread::scope(|scope| {
-        // Writer: march the checkpoint through versions 2..=VERSIONS+1
-        // while clients are mid-stream.
-        // lint:allow(spawn) — test needs real blocking threads (clients
-        // park in Pending::wait); the compute pool would deadlock.
-        scope.spawn(|| {
-            for v in 0..VERSIONS {
-                save_params(&fingerprint_params((v + 2) as f32), &ckpt).unwrap();
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        });
-        for x in &xs {
-            let server = &server;
+    // Plain threads joined through a bounded receive, as in the chaos
+    // sweep: a deadlock fails the test instead of hanging a scope join.
+    // Writer: march the checkpoint through versions 2..=VERSIONS+1 while
+    // clients are mid-stream.
+    let writer_ckpt = ckpt.clone();
+    // lint:allow(spawn) — test needs real blocking threads (clients park
+    // in Pending::wait); the compute pool would deadlock.
+    let writer = std::thread::spawn(move || {
+        for v in 0..VERSIONS {
+            save_params(&fingerprint_params((v + 2) as f32), &writer_ckpt).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+    let (tx, rx) = mpsc::channel::<()>();
+    let clients: Vec<_> = examples(CLIENTS, 41)
+        .into_iter()
+        .map(|x| {
+            let server = Arc::clone(&server);
+            let tx = tx.clone();
             // lint:allow(spawn) — same blocking-client argument as above.
-            scope.spawn(move || {
+            std::thread::spawn(move || {
                 for _ in 0..REQS_PER_CLIENT {
                     let y = server.classify(x.clone()).unwrap();
                     let row = y.as_slice();
@@ -313,11 +321,31 @@ fn reload_under_contention_never_mixes_snapshots() {
                         "output fingerprints version {v}, which was never written"
                     );
                 }
-            });
+                tx.send(()).ok();
+            })
+        })
+        .collect();
+    drop(tx);
+    for _ in 0..CLIENTS {
+        match rx.recv_timeout(JOIN_DEADLINE) {
+            Ok(()) => {}
+            // A client died on an assertion; its join below re-raises it.
+            Err(RecvTimeoutError::Disconnected) => break,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("client fleet wedged: a Pending::wait never resolved")
+            }
         }
-    });
+    }
+    for client in clients {
+        if let Err(payload) = client.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+    writer.join().unwrap();
 
-    let stats = server.shutdown();
+    let stats = Arc::into_inner(server)
+        .expect("every client thread has been joined")
+        .shutdown();
     assert_eq!(stats.requests, (CLIENTS * REQS_PER_CLIENT) as u64);
     assert!(
         stats.reloads >= 1,
@@ -516,8 +544,6 @@ fn chaos_scenario(kind: &str, site: &str) {
     const REQS_PER_CLIENT: usize = 15;
     // v1 is the serving snapshot; the writer publishes v2..=VERSIONS.
     const VERSIONS: u32 = 5;
-    // A fleet that has not reported by then is wedged in Pending::wait.
-    const JOIN_DEADLINE: Duration = Duration::from_secs(120);
     let tag = format!("[{kind}:{site}]");
 
     let dir = temp_dir(&format!("chaos-{kind}-{site}"));
