@@ -840,10 +840,11 @@ fn chain_tile<L: Chain, const R: usize, const K: usize, const PARTIAL: bool>(
 ) {
     let (g, o, pixels, patch) = (job.g, job.o, job.g.pixels(), job.g.patch());
     let trow = tap_row_len(g);
-    // Every read below stays inside the operands: lanes px..px + n of each
-    // gradient plane, taps kx0..kx0 + K of each weight row.
+    // Every read below stays inside the operands: lanes px..px + width of
+    // each gradient plane, taps kx0..kx0 + K of each weight row.
+    let width = if PARTIAL { n } else { LANES };
     assert!(job.grad.len() >= o * pixels && weight.len() >= o.saturating_sub(1) * patch + K);
-    assert!(tile.iter().all(|&(px, _)| px + n <= pixels));
+    assert!(tile.iter().all(|&(px, _)| px + width <= pixels));
     debug_assert!(n == LANES || PARTIAL);
     let (gp, wp) = (job.grad.as_ptr(), weight.as_ptr());
     let mut o0 = 0;
@@ -860,8 +861,8 @@ fn chain_tile<L: Chain, const R: usize, const K: usize, const PARTIAL: bool>(
                     v[..n].copy_from_slice(&job.grad[oi * pixels + px..][..n]);
                     v
                 } else {
-                    // SAFETY: oi < o and n = LANES, so the asserts above put
-                    // lanes px..px + LANES of gradient plane oi in bounds.
+                    // SAFETY: oi < o and width = LANES, so the asserts above
+                    // put lanes px..px + LANES of gradient plane oi in bounds.
                     unsafe {
                         gp.add(oi * pixels + px)
                             .cast::<[f32; LANES]>()
