@@ -13,7 +13,6 @@
 //! | [`DeepFool`] | iterative, minimal perturbation | Moosavi-Dezfooli et al. \[16\] |
 //! | [`CarliniWagner`] | optimization-based | Carlini & Wagner \[4\] |
 //! | [`Mim`] | iterative + momentum | Dong et al. 2018 (extension: a post-paper "new attack") |
-//! | [`TargetedPgd`] | targeted iterative | §II-A's class-controlling adversary |
 //!
 //! Budgets follow §IV-C exactly: `ε∞ = 0.6` for the 28×28 datasets and
 //! `0.06` for the 32×32 dataset, BIM per-step `0.1` / `0.016`, PGD `40 ×
@@ -45,7 +44,6 @@ mod fgsm;
 mod mim;
 mod pgd;
 pub mod stream;
-mod targeted;
 
 pub use bim::Bim;
 pub use cw::CarliniWagner;
@@ -53,7 +51,6 @@ pub use deepfool::DeepFool;
 pub use fgsm::Fgsm;
 pub use mim::Mim;
 pub use pgd::Pgd;
-pub use targeted::{TargetRule, TargetedPgd};
 
 use gandef_nn::Classifier;
 use gandef_tensor::pool;

@@ -840,7 +840,8 @@ mod tests {
     fn conv_pool_pipeline_input_grad() {
         // Irregular values: exact ties in max-pool windows would make the
         // loss non-differentiable and the finite-difference check invalid.
-        let x0 = Tensor::from_fn(&[1, 1, 6, 6], |i| (i as f32 * 0.731).sin() * 0.6);
+        // Two images, so `flatten_batch` must keep the batch axis apart.
+        let x0 = Tensor::from_fn(&[2, 1, 6, 6], |i| (i as f32 * 0.731).sin() * 0.6);
         let w0 = Tensor::from_fn(&[2, 1, 3, 3], |i| ((i % 5) as f32 - 2.0) / 4.0);
         check_input_grad(
             &x0,
@@ -849,7 +850,9 @@ mod tests {
                 let c = t.conv2d(x, w, ConvSpec { stride: 1, pad: 1 });
                 let r = t.relu(c);
                 let p = t.maxpool2d(r, 2);
-                let sq = t.square(p);
+                let flat = t.flatten_batch(p);
+                assert_eq!(t.value(flat).shape().dims(), &[2, 18]);
+                let sq = t.square(flat);
                 t.sum_all(sq)
             },
             3e-2,
@@ -893,6 +896,8 @@ mod tests {
         let pen = tape.l2_sq_mean_rows(x);
         // (‖(3,4)‖² + ‖(1,0)‖²)/2 = (25 + 1)/2
         assert_eq!(tape.value(pen).item(), 13.0);
+
+        check_input_grad(&probe_tensor(), |t, x| t.l2_sq_mean_rows(x), 1e-2);
     }
 
     #[test]
@@ -902,6 +907,9 @@ mod tests {
         let x = tape.leaf(probe_tensor());
         let y = tape.dropout(x, 0.0, &mut rng);
         assert_eq!(tape.value(y), tape.value(x));
+        let loss = tape.sum_all(y);
+        let grads = tape.backward(loss);
+        assert_eq!(grads.get(x).unwrap(), &Tensor::ones(&[2, 3]));
     }
 
     #[test]

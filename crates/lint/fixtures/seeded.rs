@@ -1,7 +1,7 @@
 //! Seeded fixture for the token rules: exactly one violation of each of
 //! `safety`, `panic`, `bounds`, `knob` and `spawn`, and none of the other
-//! nine rules. With the three other `seeded_*.rs` fixtures it trips each
-//! of the fourteen rules exactly once, which the lint self-test
+//! eight rules. With the three other `seeded_*.rs` fixtures it trips each
+//! of the thirteen rules exactly once, which the lint self-test
 //! (`crates/lint/tests/selftest.rs`) checks. This file is never compiled
 //! — it lives outside `src/` and `tests/` on purpose.
 

@@ -1,5 +1,5 @@
 //! Seeded fixture for the concurrency rules: exactly one violation of
-//! each of `shared`, `atomics` and `sync`, and none of the other eleven
+//! each of `shared`, `atomics` and `sync`, and none of the other ten
 //! rules. Linted (never compiled) by the lint self-test alongside
 //! `seeded.rs`, `seeded_semantic.rs` and `seeded_determinism.rs`.
 

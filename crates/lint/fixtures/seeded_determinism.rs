@@ -1,5 +1,5 @@
 //! Seeded fixture for the determinism rules: exactly one violation of
-//! each of `nondet` and `errprop`, and none of the other twelve rules.
+//! each of `nondet` and `errprop`, and none of the other eleven rules.
 //! Linted (never compiled) by the lint self-test alongside `seeded.rs`,
 //! `seeded_semantic.rs` and `seeded_concurrency.rs`.
 

@@ -1,7 +1,7 @@
 //! Seeded fixture for the parse-tree rules: exactly one violation of each
-//! of `alloc`, `cast`, `grad` and `shape`, and none of the other ten
-//! rules. Linted (never compiled) by the lint self-test alongside the
-//! other `seeded_*.rs` fixtures; fixture paths count as hot-path/grad/shape
+//! of `alloc`, `cast` and `shape`, and none of the other ten rules.
+//! Linted (never compiled) by the lint self-test alongside the other
+//! `seeded_*.rs` fixtures; fixture paths count as hot-path and shape
 //! scope so every semantic rule can fire here.
 
 /// Rule `alloc`: a per-iteration heap allocation inside a loop body.
@@ -17,11 +17,6 @@ pub fn seeded_alloc(n: usize, s: &[f32]) -> f32 {
 /// Rule `cast`: a lossy `f64` → `f32` cast with no guard in the fn.
 pub fn seeded_cast(acc: f64) -> f32 {
     acc as f32
-}
-
-/// Rule `grad`: a tape push whose backward slot is a literal `None`.
-pub fn seeded_grad(tape: &mut Tape, v: Tensor, p: VarId) -> VarId {
-    tape.push(v, vec![p], None)
 }
 
 /// Rule `shape`: a public `Tensor`-returning fn that indexes before any

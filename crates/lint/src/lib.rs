@@ -5,7 +5,7 @@
 //! third-party lint frameworks as enforcement mechanisms for our own
 //! invariants. This crate is the in-repo replacement: a small hand-rolled
 //! Rust tokenizer ([`lexer`]), a structural item/call parser ([`parser`])
-//! and fourteen named rules ([`rules`]) that encode the repo's
+//! and thirteen named rules ([`rules`]) that encode the repo's
 //! unsafe-surface, robustness, hot-path, concurrency and determinism
 //! policy:
 //!
@@ -16,39 +16,30 @@
 //! 5. **spawn** — all parallelism goes through `gandef_tensor::pool`;
 //! 6. **alloc** — no heap allocation inside hot-path loop bodies;
 //! 7. **cast** — lossy numeric casts in kernels are guarded or annotated;
-//! 8. **grad** — every tape push registers a backward closure;
-//! 9. **shape** — public tensor fns assert shapes before indexing;
-//! 10. **shared** — no `static mut`; shared-state slots carry comments;
-//! 11. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
+//! 8. **shape** — public tensor fns assert shapes before indexing;
+//! 9. **shared** — no `static mut`; shared-state slots carry comments;
+//! 10. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
 //!     their partner site;
-//! 12. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
-//! 13. **nondet** — no nondeterminism sources (map iteration, wall
+//! 11. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
+//! 12. **nondet** — no nondeterminism sources (map iteration, wall
 //!     clock, non-`Prng` RNG) in numeric paths;
-//! 14. **errprop** — no silently dropped `Result` in library code.
+//! 13. **errprop** — no silently dropped `Result` in library code.
 //!
-//! On top of the same parser, [`callgraph`] computes **panic
-//! reachability** for the public API; `docs/PANICS.md` is the checked-in
-//! report. The concurrency rules additionally feed a shared-state
-//! inventory, checked in as `docs/CONCURRENCY.md`, and the determinism
-//! rules feed a per-API determinism classification, checked in as
-//! `docs/DETERMINISM.md`. Each report has an in-sync test that fails on
-//! drift. Run as `gandef-lint` (no arguments) from the workspace root;
+//! Run as `gandef-lint` (no arguments) from the workspace root;
 //! see `docs/LINT.md` for the rule reference and `tests/selftest.rs` for
 //! the seeded-fixture self-test that proves the lint still detects every
 //! rule.
 
-pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
 
-use rules::concurrency;
 use rules::{check_file, FileReport, KnobRead, ParseError, Rule, Violation};
 use std::collections::BTreeMap;
 use std::io;
+use std::os::raw::{c_int, c_long};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// What to lint and against which knob registry.
 #[derive(Debug, Clone)]
@@ -86,8 +77,8 @@ pub struct Outcome {
     /// the structural analysis (and thus every rule verdict) is suspect
     /// for those files; the CLI exits 2 instead of 1.
     pub parse_errors: Vec<ParseError>,
-    /// Per-file wall time in milliseconds, in file order (for
-    /// `--timings`).
+    /// Per-file CPU time of the worker thread that checked the file, in
+    /// milliseconds, in file order (for `--timings` and `--budget`).
     pub timings: Vec<(String, f64)>,
 }
 
@@ -195,11 +186,11 @@ fn check_files_parallel(
                             if i >= files.len() {
                                 break;
                             }
-                            let started = Instant::now();
+                            let started = thread_cpu_ms();
                             let display = display_path(&files[i], root);
                             let result = std::fs::read_to_string(&files[i]).map(|src| {
                                 let report = check_file(&display, &src, is_lib_code(&display));
-                                let ms = started.elapsed().as_secs_f64() * 1e3;
+                                let ms = thread_cpu_ms() - started;
                                 (display.clone(), report, ms)
                             });
                             local.push((i, result));
@@ -236,6 +227,37 @@ fn check_files_parallel(
         }
     }
     Ok(out)
+}
+
+/// `struct timespec` of 64-bit Linux, where `time_t` is a `long`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+extern "C" {
+    fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+}
+
+/// Milliseconds of CPU the calling thread has run. Unlike wall time it
+/// leaves out the time the thread waited for a CPU, so a busy neighbour
+/// on the host does not inflate a file's cost. NaN if the clock cannot be
+/// read, which the budget gate counts as a failure.
+fn thread_cpu_ms() -> f64 {
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `timespec` for the whole call, and
+    // the thread CPU-time clock always exists on Linux.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    if rc == 0 {
+        ts.tv_sec as f64 * 1e3 + ts.tv_nsec as f64 * 1e-6
+    } else {
+        f64::NAN
+    }
 }
 
 /// Renders an [`Outcome`] as machine-readable JSON (for `--format=json`):
@@ -302,66 +324,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Generates the panic-reachability report over the workspace's library
-/// sources (see [`callgraph`]). The result is deterministic and intended
-/// to be written to `docs/PANICS.md`.
-pub fn panic_report(cfg: &Config) -> io::Result<String> {
-    let files = workspace_sources(&cfg.root)?;
-    let mut inputs = Vec::new();
-    for path in &files {
-        let display = display_path(path, &cfg.root);
-        if !is_lib_code(&display) {
-            continue; // bins/tests/examples are not public API surface
-        }
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        inputs.push((display, src));
-    }
-    Ok(callgraph::panic_report(&inputs))
-}
-
-/// Generates the concurrency report — shared-state inventory, `unsafe
-/// impl` audit and atomic-ordering table — over the workspace's library
-/// sources. Deterministic (file walk order) and intended to be written
-/// to `docs/CONCURRENCY.md`.
-pub fn concurrency_report(cfg: &Config) -> io::Result<String> {
-    let files = workspace_sources(&cfg.root)?;
-    let mut inputs = Vec::new();
-    for path in &files {
-        let display = display_path(path, &cfg.root);
-        if !is_lib_code(&display) {
-            continue; // bins/tests/examples: same scope as the rules
-        }
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        let report = check_file(&display, &src, true);
-        if !report.inventory.is_empty() {
-            inputs.push((display, report.inventory));
-        }
-    }
-    Ok(concurrency::render_report(&inputs))
-}
-
-/// Generates the determinism classification — every public fn of
-/// `gandef-tensor`/`gandef-nn`/`gandef-serve` tagged bit-exact /
-/// order-sensitive / nondeterministic (see [`rules::determinism`]) —
-/// over the workspace's library sources. Deterministic and intended to
-/// be written to `docs/DETERMINISM.md`.
-pub fn determinism_report(cfg: &Config) -> io::Result<String> {
-    let files = workspace_sources(&cfg.root)?;
-    let mut inputs = Vec::new();
-    for path in &files {
-        let display = display_path(path, &cfg.root);
-        if !is_lib_code(&display) {
-            continue; // bins/tests/examples are not public API surface
-        }
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
-        inputs.push((display, src));
-    }
-    Ok(rules::determinism::render_report(&inputs))
 }
 
 /// True if `path` is library code for the `panic` rule: not under

@@ -5,23 +5,16 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: gandef-lint [--root DIR] [--knobs FILE] [--format text|json]\n\
-                    \x20                  [--timings] [--budget FILE] [--panics FILE]\n\
-                    \x20                  [--concurrency FILE] [--determinism FILE]\n\
-                    \x20                  [FILES...]\n\
+                    \x20                  [--timings] [--budget FILE] [FILES...]\n\
   With no FILES, walks every `src/`, `tests/` and `examples/` tree of the\n\
   workspace under --root (default `.`).\n\
   --format json       machine-readable report on stdout (violations with\n\
                       file/line/col plus a parse_errors array)\n\
-  --timings           per-file wall time on stderr, slowest first\n\
-  --budget FILE       read a baseline total wall time (milliseconds) from\n\
+  --timings           per-file CPU time (the checking thread's clock) on\n\
+                      stderr, slowest first\n\
+  --budget FILE       read a baseline total CPU time (milliseconds) from\n\
                       FILE and fail (exit 1) if this run's total lint time\n\
                       exceeds 3x the baseline — the CI perf regression gate\n\
-  --panics FILE       write the panic-reachability report (docs/PANICS.md)\n\
-                      to FILE instead of linting\n\
-  --concurrency FILE  write the shared-state inventory report\n\
-                      (docs/CONCURRENCY.md) to FILE instead of linting\n\
-  --determinism FILE  write the per-API determinism classification\n\
-                      (docs/DETERMINISM.md) to FILE instead of linting\n\
   Exit codes: 0 clean, 1 rule violations or a blown budget, 2 parse or\n\
   usage/I-O error.";
 
@@ -35,9 +28,6 @@ fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut timings = false;
     let mut budget: Option<PathBuf> = None;
-    let mut panics_out: Option<PathBuf> = None;
-    let mut concurrency_out: Option<PathBuf> = None;
-    let mut determinism_out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -64,18 +54,6 @@ fn main() -> ExitCode {
                 Some(file) => budget = Some(PathBuf::from(file)),
                 None => return usage_error("--budget requires a baseline file"),
             },
-            "--panics" => match args.next() {
-                Some(file) => panics_out = Some(PathBuf::from(file)),
-                None => return usage_error("--panics requires an output file"),
-            },
-            "--concurrency" => match args.next() {
-                Some(file) => concurrency_out = Some(PathBuf::from(file)),
-                None => return usage_error("--concurrency requires an output file"),
-            },
-            "--determinism" => match args.next() {
-                Some(file) => determinism_out = Some(PathBuf::from(file)),
-                None => return usage_error("--determinism requires an output file"),
-            },
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -85,66 +63,6 @@ fn main() -> ExitCode {
             }
             file => cfg.files.push(PathBuf::from(file)),
         }
-    }
-
-    if let Some(path) = panics_out {
-        return match gandef_lint::panic_report(&cfg)
-            .and_then(|report| std::fs::write(&path, report.as_bytes()).map(|()| report))
-        {
-            Ok(report) => {
-                let rows = report.lines().filter(|l| l.starts_with("| `")).count();
-                println!(
-                    "gandef-lint: wrote {} ({} panic-reachable public fn(s))",
-                    path.display(),
-                    rows
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gandef-lint: error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    if let Some(path) = concurrency_out {
-        return match gandef_lint::concurrency_report(&cfg)
-            .and_then(|report| std::fs::write(&path, report.as_bytes()).map(|()| report))
-        {
-            Ok(report) => {
-                let rows = report.lines().filter(|l| l.starts_with("| `")).count();
-                println!(
-                    "gandef-lint: wrote {} ({} inventory row(s))",
-                    path.display(),
-                    rows
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gandef-lint: error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    if let Some(path) = determinism_out {
-        return match gandef_lint::determinism_report(&cfg)
-            .and_then(|report| std::fs::write(&path, report.as_bytes()).map(|()| report))
-        {
-            Ok(report) => {
-                let rows = report.lines().filter(|l| l.starts_with("| `")).count();
-                println!(
-                    "gandef-lint: wrote {} ({} classified public fn(s))",
-                    path.display(),
-                    rows
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gandef-lint: error: {e}");
-                ExitCode::from(2)
-            }
-        };
     }
 
     // The budget gate needs the baseline before linting, so a missing
@@ -170,10 +88,11 @@ fn main() -> ExitCode {
             }
             let blown = baseline_ms.is_some_and(|base| {
                 let limit = base * 3.0;
-                let over = total_ms > limit;
+                // An unreadable CPU clock (NaN) fails the gate too.
+                let over = total_ms.is_nan() || total_ms > limit;
                 if over {
                     eprintln!(
-                        "gandef-lint: BUDGET EXCEEDED — total lint time {total_ms:.1} ms \
+                        "gandef-lint: BUDGET EXCEEDED — total lint CPU time {total_ms:.1} ms \
                          > 3x baseline {base:.1} ms ({limit:.1} ms); investigate the \
                          regression or re-baseline the budget file"
                     );
@@ -225,7 +144,7 @@ fn main() -> ExitCode {
 }
 
 /// Parses the budget baseline: first non-comment line holds the total
-/// lint wall time in milliseconds (fractions allowed).
+/// lint CPU time in milliseconds (fractions allowed).
 fn read_budget(path: &std::path::Path) -> Result<f64, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("--budget {}: {e}", path.display()))?;

@@ -1,12 +1,12 @@
 //! A recursive-descent item/structure parser over the lexer's tokens.
 //!
 //! The token-stream rules in [`crate::rules`] match local patterns; the
-//! semantic rules (`alloc`, `cast`, `grad`, `shape`) and the panic
-//! reachability report need *structure*: which function a token belongs
-//! to, whether it sits inside a loop body, what a call's arguments look
-//! like, what a `let` binds. This module recovers exactly that much — an
-//! item skeleton (impl blocks, `fn` signatures with parameter types and
-//! return type, `#[cfg(test)]` spans) plus a flat list of interesting
+//! semantic rules (`alloc`, `cast`, `shape`) and the `nondet` rule need
+//! *structure*: which function a token belongs to, whether it sits inside
+//! a loop body, what a call's receiver is, what a `let` binds. This
+//! module recovers exactly that much — an item skeleton (impl blocks,
+//! `fn` signatures with parameter types and return type, `#[cfg(test)]`
+//! spans) plus a flat list of interesting
 //! [`Site`]s per function (calls, macro uses, `as` casts, index
 //! expressions), each tagged with its loop nesting depth.
 //!
@@ -29,16 +29,12 @@ pub struct Parsed {
 /// One parsed function definition.
 #[derive(Debug)]
 pub struct FnDef {
-    /// Bare name (`matmul`).
-    pub name: String,
-    /// Display name qualified by the enclosing `impl` type
-    /// (`Tensor::matmul`), or the bare name at module level.
+    /// Name qualified by the enclosing `impl` type (`Tensor::matmul`),
+    /// or the bare name at module level.
     pub qual: String,
     /// True for plain `pub` (restricted `pub(crate)`/`pub(super)` do not
     /// count — they are not public API).
     pub is_pub: bool,
-    /// True if the parameter list starts with a `self` receiver.
-    pub has_self: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// 1-based column of the `fn` keyword.
@@ -53,8 +49,6 @@ pub struct FnDef {
     pub body: Option<(usize, usize)>,
     /// True if the function is inside a `#[cfg(test)]` item.
     pub in_test: bool,
-    /// True if the doc comment above the fn has a `# Panics` section.
-    pub doc_has_panics: bool,
     /// Interesting sites in the body, in source order. Sites inside a
     /// *nested* fn belong to that fn, not this one; sites inside
     /// closures belong to the enclosing fn.
@@ -95,9 +89,6 @@ pub enum SiteKind {
         /// For path calls `Recv::name(...)`, the path segment before the
         /// final `::`.
         recv: Option<String>,
-        /// First token of each top-level argument (`Some`, `None`,
-        /// `vec`, an identifier, a literal…).
-        arg_heads: Vec<String>,
     },
     /// A macro use `name!(...)` / `name![...]` / `name!{...}`.
     Macro {
@@ -333,7 +324,7 @@ impl P<'_> {
         if name_tok.kind != TokKind::Ident {
             return None; // `fn` in `Fn(A) -> B` never parses here: that is `Fn`, capital.
         }
-        let name = name_tok.text.clone();
+        let name = &name_tok.text;
         let line = self.ct(q).line;
         let col = self.ct(q).col;
 
@@ -352,22 +343,6 @@ impl P<'_> {
         }
         let is_pub = j > 0 && self.ct(j - 1).is_ident("pub") && !self.ct(j).is_punct('(');
 
-        // Doc scan: comments between the previous statement/item boundary
-        // and the fn keyword (attributes and modifiers live in between).
-        let mut doc_has_panics = false;
-        for r in (0..self.code[q]).rev() {
-            match self.toks[r].kind {
-                TokKind::Comment => {
-                    if self.toks[r].text.contains("# Panics") {
-                        doc_has_panics = true;
-                        break;
-                    }
-                }
-                TokKind::Punct(';') | TokKind::Punct('{') | TokKind::Punct('}') => break,
-                _ => {}
-            }
-        }
-
         // Signature: optional generics, then the parameter list.
         let mut r = q + 2;
         if r < self.len() && self.ct(r).is_punct('<') {
@@ -377,7 +352,7 @@ impl P<'_> {
             return None; // trait `fn` declarations without params cannot occur
         }
         let pl_close = self.matching(r, '(', ')');
-        let (params, has_self) = self.parse_params(r + 1, pl_close);
+        let params = self.parse_params(r + 1, pl_close);
 
         // Return type: `-> …` until the body `{`, a `;`, or `where`.
         let mut ret = String::new();
@@ -419,16 +394,13 @@ impl P<'_> {
             .unwrap_or_else(|| name.clone());
 
         Some(FnDef {
-            name,
             qual,
             is_pub,
-            has_self,
             line,
             col,
             params,
             ret,
             in_test,
-            doc_has_panics,
             sites: Vec::new(),
             lets: Vec::new(),
             body,
@@ -436,16 +408,14 @@ impl P<'_> {
     }
 
     /// Splits the parameter list between code-indices `from..to` at
-    /// top-level commas; extracts `name: Type` pairs and a `self`
-    /// receiver. Pattern parameters (`(a, b): T`) are skipped — the
+    /// top-level commas and extracts `name: Type` pairs. A `self`
+    /// receiver and pattern parameters (`(a, b): T`) are skipped — the
     /// symbol table only needs simple bindings.
-    fn parse_params(&self, from: usize, to: usize) -> (Vec<(String, String)>, bool) {
+    fn parse_params(&self, from: usize, to: usize) -> Vec<(String, String)> {
         let mut params = Vec::new();
-        let mut has_self = false;
         for seg in self.split_commas(from, to) {
             let toks: Vec<&Token> = seg.clone().map(|q| self.ct(q)).collect();
             if toks.iter().take(3).any(|t| t.is_ident("self")) {
-                has_self = true;
                 continue;
             }
             // `[mut] name : TYPE` with the name a single ident.
@@ -465,7 +435,7 @@ impl P<'_> {
                 .join(" ");
             params.push((toks[k].text.clone(), ty));
         }
-        (params, has_self)
+        params
     }
 
     /// Ranges between top-level commas in `from..to` (depth counts
@@ -698,19 +668,18 @@ impl P<'_> {
             });
         }
         // Call: `name(` or turbofish `name::<T>(`.
-        let mut paren = None;
-        if next(1).is_some_and(|t| t.is_punct('(')) {
-            paren = Some(q + 1);
-        } else if next(1).is_some_and(|t| t.is_punct(':'))
-            && next(2).is_some_and(|t| t.is_punct(':'))
-            && next(3).is_some_and(|t| t.is_punct('<'))
-        {
+        let turbofish_call = || {
             let close = self.matching_angle(q + 3);
-            if close + 1 < self.len() && self.ct(close + 1).is_punct('(') {
-                paren = Some(close + 1);
-            }
+            close + 1 < self.len() && self.ct(close + 1).is_punct('(')
+        };
+        let call = next(1).is_some_and(|t| t.is_punct('('))
+            || (next(1).is_some_and(|t| t.is_punct(':'))
+                && next(2).is_some_and(|t| t.is_punct(':'))
+                && next(3).is_some_and(|t| t.is_punct('<'))
+                && turbofish_call());
+        if !call {
+            return None;
         }
-        let paren = paren?;
         // Definitions (`fn name(`) are not calls.
         if q > 0 && self.ct(q - 1).is_ident("fn") {
             return None;
@@ -722,17 +691,10 @@ impl P<'_> {
             && self.ct(q - 2).is_punct(':')
             && self.ct(q - 3).kind == TokKind::Ident)
             .then(|| self.ct(q - 3).text.clone());
-        let close = self.matching(paren, '(', ')');
-        let arg_heads = self
-            .split_commas(paren + 1, close)
-            .into_iter()
-            .map(|r| self.ct(r.start).text.clone())
-            .collect();
         Some(SiteKind::Call {
             name: self.ct(q).text.clone(),
             method,
             recv,
-            arg_heads,
         })
     }
 
@@ -854,9 +816,8 @@ mod tests {
         let p = parsed("pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor { body() }");
         assert_eq!(p.fns.len(), 1);
         let f = &p.fns[0];
-        assert_eq!(f.name, "matmul");
+        assert_eq!(f.qual, "matmul");
         assert!(f.is_pub);
-        assert!(!f.has_self);
         assert_eq!(f.ret, "Tensor");
         assert_eq!(f.params.len(), 2);
         assert_eq!(f.params[0], ("a".to_string(), "& Tensor".to_string()));
@@ -878,7 +839,11 @@ mod tests {
         );
         let quals: Vec<&str> = p.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, vec!["Tensor::add", "Violation::fmt", "free"]);
-        assert!(p.fns[0].has_self);
+        // The `&self` receiver is not a parameter binding.
+        assert_eq!(
+            p.fns[0].params,
+            vec![("o".to_string(), "& Tensor".to_string())]
+        );
     }
 
     #[test]
@@ -886,7 +851,7 @@ mod tests {
         let p =
             parsed("pub fn apply<F: Fn(f32) -> f32>(x: f32, f: F) -> f32 where F: Copy { f(x) }");
         assert_eq!(p.fns.len(), 1);
-        assert_eq!(p.fns[0].name, "apply");
+        assert_eq!(p.fns[0].qual, "apply");
         assert_eq!(p.fns[0].ret, "f32");
         assert!(p.fns[0].body.is_some());
     }
@@ -952,8 +917,7 @@ mod tests {
             &|k| matches!(k, SiteKind::Macro { name } if name == "vec")
         ));
         assert!(has(
-            &|k| matches!(k, SiteKind::Call { name, method: true, arg_heads, .. }
-            if name == "push" && arg_heads.last().map(String::as_str) == Some("None"))
+            &|k| matches!(k, SiteKind::Call { name, method: true, .. } if name == "push")
         ));
     }
 
@@ -1000,7 +964,7 @@ mod tests {
         let by_name = |n: &str| {
             p.fns
                 .iter()
-                .find(|f| f.name == n)
+                .find(|f| f.qual == n)
                 .map(|f| f.sites.len())
                 .unwrap_or(99)
         };
@@ -1012,18 +976,9 @@ mod tests {
     fn cfg_test_fns_are_flagged() {
         let p =
             parsed("fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { f(); }\n}");
-        let t = p.fns.iter().find(|f| f.name == "t").expect("t");
+        let t = p.fns.iter().find(|f| f.qual == "t").expect("t");
         assert!(t.in_test);
-        assert!(!p.fns.iter().find(|f| f.name == "lib").expect("lib").in_test);
-    }
-
-    #[test]
-    fn doc_panics_section_is_detected() {
-        let p = parsed(
-            "/// Does a thing.\n///\n/// # Panics\n///\n/// When n is 0.\n#[inline]\npub fn f(n: usize) {}\npub fn g() {}",
-        );
-        assert!(p.fns[0].doc_has_panics);
-        assert!(!p.fns[1].doc_has_panics);
+        assert!(!p.fns.iter().find(|f| f.qual == "lib").expect("lib").in_test);
     }
 
     #[test]

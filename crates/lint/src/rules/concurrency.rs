@@ -1,14 +1,11 @@
-//! Concurrency-soundness rules and the shared-state inventory.
+//! Concurrency-soundness rules.
 //!
 //! Three rules, all scoped to library code (plus the seeded fixtures):
 //!
 //! * `shared` — no `static mut`, ever; every other shared-state slot (a
 //!   `static` of a sync type — `Atomic*`, `Mutex`, `RwLock`, `OnceLock`,
 //!   `Once`, `Condvar` — or any `thread_local!` slot) must carry a
-//!   comment directly above it describing what it holds. The comment is
-//!   quoted verbatim in the `docs/CONCURRENCY.md` inventory, so an
-//!   undocumented slot is both a rule violation and a hole in the
-//!   checked-in audit.
+//!   comment directly above it describing what it holds.
 //! * `atomics` — every `Ordering::Relaxed` (or `SeqCst`) use needs a
 //!   `lint:allow(atomics) — <why a stale read is safe>` annotation, and
 //!   every `Ordering::Acquire`/`Release`/`AcqRel` use needs a comment in
@@ -44,28 +41,8 @@ const SYNC_TYPES: &[&str] = &[
     "AtomicPtr",
 ];
 
-/// One row of the shared-state inventory.
-#[derive(Debug, Clone)]
-pub struct InvEntry {
-    /// Row class: `static`, `static mut`, `thread-local`, `field`,
-    /// `unsafe impl`, or `ordering`.
-    pub kind: &'static str,
-    /// Site name (`POOL`, `Shared.queue`, `Send for SendPtr`,
-    /// `Ordering::Relaxed`).
-    pub name: String,
-    /// Flattened type text, where one applies.
-    pub ty: String,
-    /// 1-based line of the site.
-    pub line: usize,
-    /// Justification the rule verified: the describing comment, the
-    /// `lint:allow(atomics)` reason, the `pairs with` sentence, or the
-    /// fields an `unsafe impl` cites.
-    pub note: String,
-}
-
-/// Runs the per-file concurrency rules and collects the inventory.
-/// Library code and the seeded fixtures only; `#[cfg(test)]` spans are
-/// exempt.
+/// Runs the per-file concurrency rules. Library code and the seeded
+/// fixtures only; `#[cfg(test)]` spans are exempt.
 pub(super) fn check(ctx: &FileCtx<'_>, report: &mut FileReport) {
     if !(ctx.is_lib || super::semantic::is_fixture(ctx.file)) {
         return;
@@ -116,14 +93,13 @@ impl Conc<'_, '_> {
         out
     }
 
-    /// First non-empty comment line in `p`'s statement window, stripped
-    /// of its `//`/`///` markers — what the inventory quotes.
-    fn window_excerpt(&self, p: usize) -> Option<String> {
+    /// True if `p`'s statement window holds a comment line with text
+    /// beyond its `//`/`///` markers.
+    fn has_describing_comment(&self, p: usize) -> bool {
         self.window_comments(p)
             .iter()
             .flat_map(|c| c.lines())
-            .map(strip_comment_markers)
-            .find(|l| !l.is_empty())
+            .any(|l| !strip_comment_markers(l).is_empty())
     }
 
     // ------------------------------------------------------------------
@@ -131,9 +107,7 @@ impl Conc<'_, '_> {
     // ------------------------------------------------------------------
 
     /// `static mut` is always a violation; sync-typed `static`s and
-    /// `thread_local!` slots must carry a describing comment. Both are
-    /// collected as inventory rows, as are sync-typed struct fields
-    /// (which need no comment of their own).
+    /// `thread_local!` slots must carry a describing comment.
     fn rule_shared(&self, report: &mut FileReport) {
         let tl_spans = self.thread_local_spans();
         for p in 0..self.n_code() {
@@ -155,13 +129,6 @@ impl Conc<'_, '_> {
             // Flattened type: tokens between `:` and the `=`/`;`.
             let ty = self.static_type_text(q + 1);
             let in_tl = tl_spans.iter().any(|&(s, e)| s <= p && p <= e);
-            let kind = if is_mut {
-                "static mut"
-            } else if in_tl {
-                "thread-local"
-            } else {
-                "static"
-            };
             let sync_typed = SYNC_TYPES.iter().any(|s| {
                 ty.split(|c: char| !c.is_alphanumeric() && c != '_')
                     .any(|w| w == *s)
@@ -169,14 +136,6 @@ impl Conc<'_, '_> {
             if !(is_mut || in_tl || sync_typed) {
                 continue; // plain const-like static: not shared state
             }
-            let excerpt = self.window_excerpt(p);
-            report.inventory.push(InvEntry {
-                kind,
-                name: name.clone(),
-                ty: ty.clone(),
-                line: t.line,
-                note: excerpt.clone().unwrap_or_default(),
-            });
             if self.ctx.stmt_suppressed(p, Rule::Shared) {
                 continue;
             }
@@ -190,20 +149,18 @@ impl Conc<'_, '_> {
                          `lint:allow(shared) — <reason>` if truly unavoidable"
                     ),
                 );
-            } else if excerpt.is_none() {
+            } else if !self.has_describing_comment(p) {
                 self.violation(
                     report,
                     t,
                     Rule::Shared,
                     format!(
                         "shared-state slot `{name}: {ty}` has no describing comment — \
-                         the docs/CONCURRENCY.md inventory quotes the comment above \
-                         each slot"
+                         say above the slot what it holds and who touches it"
                     ),
                 );
             }
         }
-        self.collect_sync_fields(report);
     }
 
     /// Brace spans of `thread_local! { … }` invocations.
@@ -245,33 +202,9 @@ impl Conc<'_, '_> {
         ty
     }
 
-    /// Inventory rows for sync-typed fields of struct definitions:
-    /// `Struct.field: Mutex<…>` — the "guarded fields" half of the
-    /// shared-state inventory.
-    fn collect_sync_fields(&self, report: &mut FileReport) {
-        for (struct_name, fields, line) in self.struct_defs() {
-            for (fname, fty, fline) in fields {
-                let sync_typed = SYNC_TYPES.iter().any(|s| {
-                    fty.split(|c: char| !c.is_alphanumeric() && c != '_')
-                        .any(|w| w == *s)
-                });
-                if sync_typed {
-                    report.inventory.push(InvEntry {
-                        kind: "field",
-                        name: format!("{struct_name}.{fname}"),
-                        ty: fty,
-                        line: fline,
-                        note: String::new(),
-                    });
-                }
-            }
-            let _ = line;
-        }
-    }
-
-    /// Struct definitions in this file: `(name, [(field, type, line)],
-    /// line)`. Tuple and unit structs yield an empty field list.
-    fn struct_defs(&self) -> Vec<(String, Vec<(String, String, usize)>, usize)> {
+    /// Struct definitions in this file with their named fields. Tuple and
+    /// unit structs yield an empty field list.
+    fn struct_defs(&self) -> Vec<(String, Vec<String>)> {
         let mut out = Vec::new();
         let mut p = 0usize;
         while p < self.n_code() {
@@ -287,7 +220,6 @@ impl Conc<'_, '_> {
                 continue;
             }
             let name = name_tok.text.clone();
-            let line = self.ct(p).line;
             // Skip generics, find `{` (named fields) or `(`/`;` (tuple or
             // unit struct).
             let mut q = p + 2;
@@ -309,15 +241,15 @@ impl Conc<'_, '_> {
                 }
                 q += 1;
             }
-            out.push((name, fields, line));
+            out.push((name, fields));
             p = q.max(p + 1);
         }
         out
     }
 
-    /// `name: Type` pairs at brace depth 0 between code indices
-    /// `from..to` (a struct body).
-    fn named_fields(&self, from: usize, to: usize) -> Vec<(String, String, usize)> {
+    /// Names of the `name: Type` fields at brace depth 0 between code
+    /// indices `from..to` (a struct body).
+    fn named_fields(&self, from: usize, to: usize) -> Vec<String> {
         let mut out = Vec::new();
         let mut depth = 0i32;
         let mut q = from;
@@ -342,7 +274,6 @@ impl Conc<'_, '_> {
                         && !(q + 2 < to && self.ct(q + 2).is_punct(':')) =>
                 {
                     // Type runs to the next top-level comma.
-                    let mut ty = String::new();
                     let mut d = 0i32;
                     let mut r = q + 2;
                     while r < to {
@@ -357,13 +288,9 @@ impl Conc<'_, '_> {
                             TokKind::Punct(',') if d <= 0 => break,
                             _ => {}
                         }
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push_str(&u.text);
                         r += 1;
                     }
-                    out.push((t.text.clone(), ty, t.line));
+                    out.push(t.text.clone());
                     q = r;
                     continue;
                 }
@@ -401,23 +328,11 @@ impl Conc<'_, '_> {
             if !(needs_pair || needs_reason) {
                 continue; // cmp::Ordering::Less and friends
             }
-            let window = self.window_comments(p);
-            let pair_comment = window.iter().find(|c| c.contains("pairs with"));
+            let paired = self
+                .window_comments(p)
+                .iter()
+                .any(|c| c.contains("pairs with"));
             let allowed = self.ctx.stmt_suppressed(p, Rule::Atomics);
-            let note = if let Some(c) = pair_comment {
-                excerpt_around(c, "pairs with")
-            } else if allowed {
-                self.allow_reason(p)
-            } else {
-                String::new()
-            };
-            report.inventory.push(InvEntry {
-                kind: "ordering",
-                name: format!("Ordering::{ord}"),
-                ty: String::new(),
-                line: t.line,
-                note,
-            });
             if needs_reason && !allowed {
                 self.violation(
                     report,
@@ -428,7 +343,7 @@ impl Conc<'_, '_> {
                          ordering is safe here>` annotation"
                     ),
                 );
-            } else if needs_pair && pair_comment.is_none() && !allowed {
+            } else if needs_pair && !paired && !allowed {
                 self.violation(
                     report,
                     t,
@@ -442,40 +357,6 @@ impl Conc<'_, '_> {
         }
     }
 
-    /// The reason text of the `lint:allow(atomics)` annotation covering
-    /// code-index `p`, for the inventory.
-    fn allow_reason(&self, p: usize) -> String {
-        let mut lines = vec![self.ct(p).line];
-        lines.extend(self.ctx.stmt_lines(p));
-        for &l in &lines {
-            // Same block-walk as suppressed_at: the line itself, then the
-            // contiguous comment block above.
-            let mut cand = l;
-            loop {
-                for &(cl, text) in &self.ctx.comments {
-                    if cl == cand {
-                        if let Some(pos) = text.find("lint:allow(atomics)") {
-                            return strip_comment_markers(
-                                text[pos + "lint:allow(atomics)".len()..].trim_start_matches(
-                                    |c: char| {
-                                        c.is_whitespace() || matches!(c, '—' | '–' | '-' | ':')
-                                    },
-                                ),
-                            );
-                        }
-                    }
-                }
-                let above_is_comment = self.ctx.comments.iter().any(|&(cl, _)| cl == cand - 1);
-                if cand > 1 && above_is_comment {
-                    cand -= 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        String::new()
-    }
-
     // ------------------------------------------------------------------
     // Rule: sync
     // ------------------------------------------------------------------
@@ -484,11 +365,7 @@ impl Conc<'_, '_> {
     /// (or `T` itself when no named fields are parsed) in its comment
     /// window, so the soundness argument is tied to the actual state.
     fn rule_sync(&self, report: &mut FileReport) {
-        let structs: HashMap<String, Vec<String>> = self
-            .struct_defs()
-            .into_iter()
-            .map(|(n, fields, _)| (n, fields.into_iter().map(|(f, ..)| f).collect()))
-            .collect();
+        let structs: HashMap<String, Vec<String>> = self.struct_defs().into_iter().collect();
         for p in 0..self.n_code() {
             let t = self.ct(p);
             if !t.is_ident("unsafe")
@@ -537,33 +414,17 @@ impl Conc<'_, '_> {
             let ty = ty_tok.text.clone();
             let window = self.window_comments(p);
             let fields = structs.get(&ty).filter(|f| !f.is_empty());
-            let (cited, expectation): (Vec<&str>, String) = match fields {
-                Some(fields) => (
-                    fields
-                        .iter()
-                        .map(String::as_str)
-                        .filter(|f| window.iter().any(|c| mentions_word(c, f)))
-                        .collect(),
-                    format!("one of: {}", fields.join(", ")),
-                ),
-                None => (
-                    window
-                        .iter()
-                        .any(|c| mentions_word(c, &ty))
-                        .then_some(ty.as_str())
-                        .into_iter()
-                        .collect(),
-                    format!("the type name `{ty}`"),
-                ),
+            let cited = match fields {
+                Some(fields) => fields
+                    .iter()
+                    .any(|f| window.iter().any(|c| mentions_word(c, f))),
+                None => window.iter().any(|c| mentions_word(c, &ty)),
             };
-            report.inventory.push(InvEntry {
-                kind: "unsafe impl",
-                name: format!("{which} for {ty}"),
-                ty: String::new(),
-                line: t.line,
-                note: cited.join(", "),
-            });
-            if cited.is_empty() && !self.ctx.stmt_suppressed(p, Rule::Sync) {
+            if !cited && !self.ctx.stmt_suppressed(p, Rule::Sync) {
+                let expectation = match fields {
+                    Some(fields) => format!("one of: {}", fields.join(", ")),
+                    None => format!("the type name `{ty}`"),
+                };
                 self.violation(
                     report,
                     t,
@@ -590,15 +451,6 @@ fn strip_comment_markers(line: &str) -> String {
         .to_string()
 }
 
-/// The sentence around `needle` in a comment, for inventory quoting.
-fn excerpt_around(comment: &str, needle: &str) -> String {
-    comment
-        .lines()
-        .map(strip_comment_markers)
-        .find(|l| l.contains(needle))
-        .unwrap_or_default()
-}
-
 /// True if `text` contains `word` delimited by non-identifier chars
 /// (so `func` does not match `function_table`, but `` `func` `` does).
 fn mentions_word(text: &str, word: &str) -> bool {
@@ -619,85 +471,6 @@ fn mentions_word(text: &str, word: &str) -> bool {
 
 fn is_ident_byte(b: u8) -> bool {
     b == b'_' || b.is_ascii_alphanumeric()
-}
-
-// ----------------------------------------------------------------------
-// The docs/CONCURRENCY.md report
-// ----------------------------------------------------------------------
-
-/// Renders the checked-in concurrency report from per-file inventories.
-/// Deterministic: rows follow file walk order.
-pub fn render_report(files: &[(String, Vec<InvEntry>)]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "# Concurrency inventory\n\n\
-         **Generated file — do not edit.** Regenerate with\n\
-         `cargo run --release -p gandef-lint -- --concurrency docs/CONCURRENCY.md`\n\
-         after any change to shared state, atomics or `unsafe impl Send/Sync`;\n\
-         the `concurrency_report_is_in_sync` test diffs this file against a\n\
-         fresh run.\n\n\
-         Produced by the `shared`/`atomics`/`sync` rules in\n\
-         `crates/lint/src/rules/concurrency.rs`; see `docs/LINT.md` for rule\n\
-         semantics. Every row below passed its rule — the notes column quotes\n\
-         the justification each rule verified.\n\n",
-    );
-
-    let section = |out: &mut String, title: &str, kinds: &[&str], header: &str, empty: &str| {
-        out.push_str(title);
-        let mut any = false;
-        for (file, inventory) in files {
-            for e in inventory.iter().filter(|e| kinds.contains(&e.kind)) {
-                if !any {
-                    out.push_str(header);
-                    any = true;
-                }
-                let ty = if e.ty.is_empty() {
-                    String::new()
-                } else {
-                    format!("`{}`", e.ty)
-                };
-                let note = e.note.replace('|', "\\|");
-                out.push_str(&format!(
-                    "| `{}` | {} | {} | {}:{} | {} |\n",
-                    e.name, e.kind, ty, file, e.line, note
-                ));
-            }
-        }
-        if !any {
-            out.push_str(empty);
-        }
-        out.push('\n');
-    };
-
-    section(
-        &mut out,
-        "## Shared state\n\nEvery `static`, `thread_local!` slot and sync-typed struct \
-         field in library code. The notes column quotes the describing comment the \
-         `shared` rule requires above each slot.\n\n",
-        &["static", "static mut", "thread-local", "field"],
-        "| site | kind | type | where | notes |\n|---|---|---|---|---|\n",
-        "No shared-state slots found.\n",
-    );
-    section(
-        &mut out,
-        "## `unsafe impl Send`/`Sync` audit\n\nThe notes column lists the fields each \
-         impl's SAFETY comment cites (the `sync` rule requires at least one).\n\n",
-        &["unsafe impl"],
-        "| impl | kind | type | where | cited state |\n|---|---|---|---|---|\n",
-        "No `unsafe impl Send/Sync` in library code.\n",
-    );
-    section(
-        &mut out,
-        "## Atomic orderings\n\nEvery `Ordering::…` use outside tests. Relaxed/SeqCst \
-         sites quote their `lint:allow(atomics)` reason; Acquire/Release/AcqRel sites \
-         quote their `pairs with` partner comment (the `atomics` rule enforces both).\n\n",
-        &["ordering"],
-        "| ordering | kind | type | where | justification |\n|---|---|---|---|---|\n",
-        "No atomic-ordering uses in library code.\n",
-    );
-    // Every section ends with a blank line; the file ends with one newline.
-    out.pop();
-    out
 }
 
 #[cfg(test)]
@@ -733,18 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn sync_static_with_comment_passes_and_is_inventoried() {
+    fn sync_static_with_comment_passes() {
         let src = "/// Global ready flag, set once at init.\nstatic FLAG: AtomicBool = AtomicBool::new(false);";
-        let report = check(src);
-        assert!(report.violations.iter().all(|v| v.rule != Rule::Shared));
-        let inv: Vec<_> = report
-            .inventory
-            .iter()
-            .filter(|e| e.kind == "static")
-            .collect();
-        assert_eq!(inv.len(), 1);
-        assert_eq!(inv[0].name, "FLAG");
-        assert!(inv[0].note.contains("ready flag"));
+        assert!(fired(src, Rule::Shared).is_empty());
+        // A comment of bare markers describes nothing.
+        let empty = "///\nstatic FLAG: AtomicBool = AtomicBool::new(false);";
+        assert_eq!(fired(empty, Rule::Shared), vec![2]);
     }
 
     #[test]
@@ -759,21 +526,12 @@ mod tests {
     fn plain_static_is_not_shared_state() {
         let src = "static NAMES: [&str; 2] = [\"a\", \"b\"];";
         assert!(fired(src, Rule::Shared).is_empty());
-        assert!(check(src).inventory.is_empty());
     }
 
     #[test]
-    fn sync_typed_fields_are_inventoried() {
-        let src =
-            "/// Queue guard.\npub struct Shared {\n    queue: Mutex<Vec<u8>>,\n    len: usize,\n}";
-        let report = check(src);
-        let inv: Vec<_> = report
-            .inventory
-            .iter()
-            .filter(|e| e.kind == "field")
-            .collect();
-        assert_eq!(inv.len(), 1);
-        assert_eq!(inv[0].name, "Shared.queue");
+    fn sync_typed_fields_need_no_comment() {
+        let src = "pub struct Shared {\n    queue: Mutex<Vec<u8>>,\n    len: usize,\n}";
+        assert!(fired(src, Rule::Shared).is_empty());
     }
 
     // ---- atomics ----
@@ -788,9 +546,6 @@ mod tests {
     fn relaxed_with_allow_reason_passes() {
         let src = "fn f(c: &AtomicUsize) {\n    // lint:allow(atomics) — monotonic stats counter, readers tolerate staleness.\n    c.fetch_add(1, Ordering::Relaxed);\n}";
         assert!(fired(src, Rule::Atomics).is_empty());
-        let inv = check(src);
-        let row = inv.inventory.iter().find(|e| e.kind == "ordering");
-        assert!(row.is_some_and(|r| r.note.contains("monotonic stats")));
     }
 
     #[test]
@@ -840,23 +595,6 @@ mod tests {
     fn field_citation_requires_word_boundary() {
         assert!(mentions_word("the `func` pointer is Send", "func"));
         assert!(!mentions_word("the function_table is Send", "func"));
-    }
-
-    // ---- report ----
-
-    #[test]
-    fn report_renders_all_sections() {
-        let src = "/// Ready flag.\nstatic READY: AtomicBool = AtomicBool::new(false);\nfn f() -> bool {\n    // lint:allow(atomics) — a stale read only delays the next poll.\n    READY.load(Ordering::Relaxed)\n}";
-        let report = check(src);
-        let md = render_report(&[("crates/demo/src/lib.rs".to_string(), report.inventory)]);
-        assert!(md.contains("# Concurrency inventory"));
-        assert!(md.contains("## Shared state"));
-        assert!(md.contains("`READY`"));
-        assert!(md.contains("Ready flag."));
-        assert!(md.contains("No `unsafe impl Send/Sync` in library code."));
-        assert!(md.contains("## Atomic orderings"));
-        assert!(md.contains("a stale read only delays the next poll."));
-        assert!(md.ends_with(" |\n"), "{md}");
     }
 
     #[test]

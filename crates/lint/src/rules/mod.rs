@@ -13,13 +13,11 @@
 //! analysis & unsafe audit" for the policy rationale):
 //!
 //! The token-stream rules live in this module; the parse-tree rules
-//! (`alloc`, `cast`, `grad`, `shape`) live in [`semantic`] and run over
+//! (`alloc`, `cast`, `shape`) live in [`semantic`] and run over
 //! [`crate::parser`]'s output; the concurrency rules (`shared`,
-//! `atomics`, `sync`) live in [`concurrency`] together with the
-//! shared-state inventory behind `docs/CONCURRENCY.md`; the determinism
-//! rules (`nondet`, `errprop`) live in [`determinism`] together with the
-//! per-API classification behind `docs/DETERMINISM.md`. See
-//! `docs/LINT.md` for the full reference.
+//! `atomics`, `sync`) live in [`concurrency`]; the determinism rules
+//! (`nondet`, `errprop`) live in [`determinism`]. See `docs/LINT.md` for
+//! the full reference.
 //!
 //! | rule        | invariant |
 //! |-------------|-----------|
@@ -30,9 +28,8 @@
 //! | `spawn`     | no `thread::spawn` / `Builder::spawn` outside `pool.rs` — all parallelism goes through the worker pool |
 //! | `alloc`     | no `Vec::new` / `vec!` / `.to_vec()` / `.collect()` / `.clone()` inside loop bodies of hot-path modules |
 //! | `cast`      | lossy casts (f64→f32, u64/i64→usize/i32) in kernel fns need a `debug_assert!`/`try_from` guard or an annotation |
-//! | `grad`      | every tape push in `autodiff::ops` registers a backward closure (`None` backward = no input gradients for attacks) |
 //! | `shape`     | public `Tensor`-returning fns in `gandef-tensor` state a shape `assert!` before their first index expression |
-//! | `shared`    | no `static mut`; every sync-typed `static` / `thread_local!` slot carries a describing comment (quoted by the inventory) |
+//! | `shared`    | no `static mut`; every sync-typed `static` / `thread_local!` slot carries a describing comment |
 //! | `atomics`   | `Ordering::Relaxed`/`SeqCst` need a `lint:allow(atomics)` reason; Acquire/Release/AcqRel sites name their partner via a `pairs with` comment |
 //! | `sync`      | each `unsafe impl Send/Sync` cites the field(s) of the parsed struct that make it sound |
 //! | `nondet`    | no nondeterminism sources (`HashMap`/`HashSet` iteration, wall-clock values, thread-id arithmetic, non-`Prng` RNG) in `tensor`/`autodiff`/`attack`/`defense` numeric paths |
@@ -61,8 +58,6 @@ pub enum Rule {
     Alloc,
     /// Unguarded lossy numeric cast in a kernel fn.
     Cast,
-    /// Tape push without a backward closure.
-    Grad,
     /// Public tensor fn indexing before any shape assertion.
     Shape,
     /// `static mut`, or an undocumented shared-state slot.
@@ -88,7 +83,6 @@ impl Rule {
             Rule::Spawn => "spawn",
             Rule::Alloc => "alloc",
             Rule::Cast => "cast",
-            Rule::Grad => "grad",
             Rule::Shape => "shape",
             Rule::Shared => "shared",
             Rule::Atomics => "atomics",
@@ -99,7 +93,7 @@ impl Rule {
     }
 
     /// All rules, for self-tests and reporting.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 13] = [
         Rule::Safety,
         Rule::Panic,
         Rule::Bounds,
@@ -107,7 +101,6 @@ impl Rule {
         Rule::Spawn,
         Rule::Alloc,
         Rule::Cast,
-        Rule::Grad,
         Rule::Shape,
         Rule::Shared,
         Rule::Atomics,
@@ -197,9 +190,6 @@ pub struct FileReport {
     pub knob_reads: Vec<KnobRead>,
     /// Unbalanced-delimiter diagnosis, if the file failed to parse.
     pub parse_error: Option<ParseError>,
-    /// Shared-state inventory rows, in source order, for the
-    /// `docs/CONCURRENCY.md` report.
-    pub inventory: Vec<concurrency::InvEntry>,
 }
 
 /// Lints one source file. `file` is the display path; `is_lib` should be
@@ -289,9 +279,8 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Diagnoses unbalanced `()`/`[]`/`{}` over the code tokens: the
-    /// structural property every rule (and `docs/CONCURRENCY.md`) depends
-    /// on. Lexing itself never fails, so this is the lint's whole notion
-    /// of "parse error".
+    /// structural property every rule depends on. Lexing itself never
+    /// fails, so this is the lint's whole notion of "parse error".
     fn parse_error(&self) -> Option<ParseError> {
         let pair = |c: char| match c {
             ')' => '(',

@@ -1,8 +1,8 @@
-//! Parse-tree rules: `alloc`, `cast`, `grad`, `shape`.
+//! Parse-tree rules: `alloc`, `cast`, `shape`.
 //!
 //! Unlike the token-stream rules, these need structure — loop nesting,
 //! function signatures, call arguments — which [`crate::parser`]
-//! recovers. All four are scoped to the modules where the invariant
+//! recovers. All three are scoped to the modules where the invariant
 //! actually buys something:
 //!
 //! * `alloc` and `cast` guard the **hot path** (`tensor::linalg`,
@@ -10,12 +10,6 @@
 //!   the code whose per-epoch wall time is the paper's headline number
 //!   (Table IV), where a stray per-iteration allocation or a silent
 //!   f64→f32 rounding erodes exactly what we measure;
-//! * `grad` guards `autodiff::ops` — the white-box attacks (FGSM, BIM,
-//!   PGD) all differentiate through the forward graph, so a forward op
-//!   whose tape node has no backward closure silently zeroes input
-//!   gradients and weakens every attack built on it (`Tape::leaf` in
-//!   `tape.rs` is the one legitimate `None`-pusher, and lives outside
-//!   this rule's scope);
 //! * `shape` guards `gandef-tensor`'s public surface: a public
 //!   `Tensor`-returning fn that indexes before asserting its shape
 //!   contract panics with a bare out-of-bounds message instead of the
@@ -34,9 +28,8 @@ use crate::parser::{CastSrc, FnDef, Parsed, Site, SiteKind};
 pub(crate) fn check(file: &str, toks: &[Token], parsed: &Parsed, report: &mut FileReport) {
     let alloc = in_hot_path(file);
     let cast = in_hot_path(file);
-    let grad = in_grad_scope(file);
     let shape = in_shape_scope(file);
-    if !(alloc || cast || grad || shape) {
+    if !(alloc || cast || shape) {
         return;
     }
     let comments: Vec<(usize, &str)> = toks
@@ -55,9 +48,6 @@ pub(crate) fn check(file: &str, toks: &[Token], parsed: &Parsed, report: &mut Fi
     if cast {
         ctx.rule_cast(report);
     }
-    if grad {
-        ctx.rule_grad(report);
-    }
     if shape {
         ctx.rule_shape(report);
     }
@@ -72,12 +62,6 @@ fn in_hot_path(file: &str) -> bool {
         || p.ends_with("autodiff/src/ops.rs")
         || p.contains("attack/src/")
         || is_fixture(&p)
-}
-
-/// `grad` applies to the forward-op constructors only.
-fn in_grad_scope(file: &str) -> bool {
-    let p = file.replace('\\', "/");
-    p.ends_with("autodiff/src/ops.rs") || is_fixture(&p)
 }
 
 /// `shape` applies to the tensor crate's public surface.
@@ -251,45 +235,6 @@ impl Ctx<'_> {
     }
 
     // ------------------------------------------------------------------
-    // Rule: grad
-    // ------------------------------------------------------------------
-
-    /// Every `.push(value, parents, backward)` onto the tape must carry
-    /// a backward closure: a literal `None` in the third slot means the
-    /// op is a dead end for input gradients.
-    fn rule_grad(&self, report: &mut FileReport) {
-        for f in self.parsed.fns.iter().filter(|f| !f.in_test) {
-            for s in &f.sites {
-                let SiteKind::Call {
-                    name,
-                    method: true,
-                    arg_heads,
-                    ..
-                } = &s.kind
-                else {
-                    continue;
-                };
-                let tape_push = name == "push"
-                    && arg_heads.len() >= 3
-                    && arg_heads.last().map(String::as_str) == Some("None");
-                if !tape_push || self.site_suppressed(s, Rule::Grad) {
-                    continue;
-                }
-                self.violation(
-                    report,
-                    s.line,
-                    s.col,
-                    Rule::Grad,
-                    "tape push with `None` backward — a forward op without a gradient \
-                     breaks white-box attacks; register `Some(Box::new(move |g| …))` \
-                     or annotate `// lint:allow(grad) — <reason>`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Rule: shape
     // ------------------------------------------------------------------
 
@@ -338,7 +283,6 @@ mod tests {
     use super::super::{check_file, Rule, Violation};
 
     const HOT: &str = "crates/tensor/src/linalg.rs";
-    const OPS: &str = "crates/autodiff/src/ops.rs";
     const TENSOR: &str = "crates/tensor/src/tensor.rs";
     const COLD: &str = "crates/nn/src/layers.rs";
 
@@ -438,40 +382,6 @@ mod tests {
     fn f64_slice_index_cast_fires() {
         let src = "fn k(row: &[f64]) -> f32 { row[0] as f32 }";
         assert_eq!(rules_at(HOT, src), vec![Rule::Cast]);
-    }
-
-    // ---- grad ----
-
-    #[test]
-    fn tape_push_with_none_backward_fires() {
-        let src =
-            "fn op(&mut self, v: Tensor, p: VarId) -> VarId {\n    self.push(v, vec![p], None)\n}";
-        assert_eq!(rules_at(OPS, src), vec![Rule::Grad]);
-    }
-
-    #[test]
-    fn tape_push_with_backward_passes() {
-        let src = "fn op(&mut self, v: Tensor, p: VarId) -> VarId {\n    self.push(v, vec![p], Some(Box::new(move |g| g)))\n}";
-        assert!(rules_at(OPS, src).is_empty());
-    }
-
-    #[test]
-    fn vec_push_is_not_a_tape_push() {
-        let src = "fn f(v: &mut Vec<Option<u8>>) { v.push(None); }";
-        assert!(rules_at(OPS, src).is_empty());
-    }
-
-    #[test]
-    fn grad_rule_is_scoped_to_ops() {
-        let src =
-            "fn op(&mut self, v: Tensor, p: VarId) -> VarId {\n    self.push(v, vec![p], None)\n}";
-        assert!(rules_at(TENSOR, src).is_empty());
-    }
-
-    #[test]
-    fn grad_annotation_is_honored() {
-        let src = "fn op(&mut self, v: Tensor, p: VarId) -> VarId {\n    // lint:allow(grad) — constant-fold op, gradient is provably zero\n    self.push(v, vec![p], None)\n}";
-        assert!(rules_at(OPS, src).is_empty());
     }
 
     // ---- shape ----

@@ -1,11 +1,10 @@
 //! Lint self-tests: the seeded fixtures must trip every rule, the real
-//! workspace must be clean, the three checked-in reports must match a
-//! fresh run, and the `gandef-lint` binary must keep its exit-code
-//! contract. Keeping these checks in `cargo test` means the tier-1 test
+//! workspace must be clean, and the `gandef-lint` binary must keep its
+//! exit-code contract. Keeping these checks in `cargo test` means the tier-1 test
 //! run enforces them; `scripts/ci.sh` adds only the lint's time budget.
 
 use gandef_lint::rules::Rule;
-use gandef_lint::{concurrency_report, determinism_report, panic_report, render_json, run, Config};
+use gandef_lint::{render_json, run, Config};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -46,13 +45,14 @@ fn seeded_fixtures_trip_every_rule_exactly_once() {
 #[test]
 fn cli_exit_codes_follow_the_contract() {
     let root = workspace_root();
-    let lint = |files: &[&str]| {
+    let lint_in = |dir: &Path, args: &[&str]| {
         Command::new(env!("CARGO_BIN_EXE_gandef-lint"))
-            .current_dir(&root)
-            .args(files)
+            .current_dir(dir)
+            .args(args)
             .output()
             .expect("run gandef-lint")
     };
+    let lint = |args: &[&str]| lint_in(&root, args);
 
     let seeded = lint(&SEEDED);
     let stderr = String::from_utf8_lossy(&seeded.stderr);
@@ -84,6 +84,23 @@ fn cli_exit_codes_follow_the_contract() {
         "a clean file exits 0:\n{}",
         String::from_utf8_lossy(&clean.stderr)
     );
+
+    // `--panics`, `--concurrency` and `--determinism` are not options: a
+    // script that still passes one fails loudly and writes nothing.
+    let scratch = std::env::temp_dir().join(format!("gandef-lint-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    for flag in ["--panics", "--concurrency", "--determinism"] {
+        let out = scratch.join("x");
+        let run = lint_in(&scratch, &[flag, "x"]);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{flag} x exits 2:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{flag} is not reported as unknown:\n{stderr}"
+        );
+        assert!(!out.exists(), "{flag} x wrote {}", out.display());
+    }
+    std::fs::remove_dir_all(&scratch).expect("remove scratch dir");
 }
 
 #[test]
@@ -123,20 +140,6 @@ fn walker_covers_tests_and_examples() {
 }
 
 #[test]
-fn panics_report_is_in_sync() {
-    let root = workspace_root();
-    let fresh = panic_report(&Config::workspace(&root)).expect("panic report");
-    let checked_in = std::fs::read_to_string(root.join("docs/PANICS.md"))
-        .expect("docs/PANICS.md — regenerate with `gandef-lint --panics docs/PANICS.md`");
-    assert_eq!(
-        fresh.trim(),
-        checked_in.trim(),
-        "docs/PANICS.md is stale: a public panic path changed. Review the new \
-         paths, then regenerate with `./target/release/gandef-lint --panics docs/PANICS.md`"
-    );
-}
-
-#[test]
 fn json_format_names_all_fixture_rules() {
     let root = workspace_root();
     let mut cfg = Config::workspace(&root);
@@ -155,39 +158,6 @@ fn json_format_names_all_fixture_rules() {
     // Columns ride along in both formats; parse_errors is always present.
     assert!(json.contains("\"col\": "), "{json}");
     assert!(json.contains("\"parse_errors\": []"), "{json}");
-}
-
-#[test]
-fn concurrency_report_is_in_sync() {
-    let root = workspace_root();
-    let fresh = concurrency_report(&Config::workspace(&root)).expect("concurrency report");
-    let checked_in = std::fs::read_to_string(root.join("docs/CONCURRENCY.md")).expect(
-        "docs/CONCURRENCY.md — regenerate with `gandef-lint --concurrency docs/CONCURRENCY.md`",
-    );
-    assert_eq!(
-        fresh.trim(),
-        checked_in.trim(),
-        "docs/CONCURRENCY.md is stale: shared state, atomics, unsafe impls or \
-         lock usage changed. Review the inventory, then regenerate with \
-         `./target/release/gandef-lint --concurrency docs/CONCURRENCY.md`"
-    );
-}
-
-#[test]
-fn determinism_report_is_in_sync() {
-    let root = workspace_root();
-    let fresh = determinism_report(&Config::workspace(&root)).expect("determinism report");
-    let checked_in = std::fs::read_to_string(root.join("docs/DETERMINISM.md")).expect(
-        "docs/DETERMINISM.md — regenerate with `gandef-lint --determinism docs/DETERMINISM.md`",
-    );
-    assert_eq!(
-        fresh.trim(),
-        checked_in.trim(),
-        "docs/DETERMINISM.md is stale: a public API's determinism class changed \
-         (new nondeterminism source, new order-sensitive accumulation, or a path \
-         was made bit-exact). Review the classification, then regenerate with \
-         `./target/release/gandef-lint --determinism docs/DETERMINISM.md`"
-    );
 }
 
 #[test]

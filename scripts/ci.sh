@@ -5,10 +5,9 @@
 #
 # Steps: format check, release build, full test suite (which includes
 # the lint's self-tests in crates/lint/tests/selftest.rs: the seeded
-# fixtures trip every rule exactly once, the binary keeps its exit codes,
-# and docs/PANICS.md, docs/CONCURRENCY.md and docs/DETERMINISM.md match
-# a fresh run), the gandef-lint static-analysis gate (zero violations in
-# the workspace under a lint wall-time budget), a smoke run of the
+# fixtures trip every rule exactly once and the binary keeps its exit
+# codes), the gandef-lint static-analysis gate (zero violations in the
+# workspace under a lint CPU-time budget), a smoke run of the
 # kernel micro-benchmarks gated against the checked-in BENCH_tensor.json
 # (bench_diff; writes BENCH_smoke.json to a temp dir so the checked-in
 # file is never clobbered), one round each of
@@ -52,11 +51,12 @@ GANDEF_NO_FMA=1 cargo test -q -p gandef-tensor --lib data_gradient
 GANDEF_THREADS=4 cargo test -q -p gandef-tensor --lib data_gradient
 
 echo "==> gandef-lint (workspace must be clean, within the time budget)"
-# scripts/lint_budget.txt holds the baseline total lint wall time in
-# milliseconds; the run fails if this machine takes more than 3x that —
-# the perf-regression gate for the lint itself (a quadratic blowup in a
-# new rule would otherwise land silently). Re-baseline with
-#   ./target/release/gandef-lint --timings 2>&1 | tail -1
+# scripts/lint_budget.txt holds the baseline total lint CPU time in
+# milliseconds (each file timed on its worker thread's CPU clock, so a
+# busy host does not count); the run fails above 3x that — the
+# perf-regression gate for the lint itself (a quadratic blowup in a new
+# rule would otherwise land silently). Re-baseline with
+#   ./target/release/gandef-lint --timings 2>&1 >/dev/null | tail -1
 # after a deliberate analysis-cost change.
 ./target/release/gandef-lint --budget scripts/lint_budget.txt
 
