@@ -3,7 +3,9 @@
 //! valid pixel range (the paper's `F` projection) — including on RGB
 //! conv inputs where broadcasting bugs would hide.
 
-use zk_gandef_repro::attack::{Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Pgd};
+use zk_gandef_repro::attack::{
+    Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Mim, Pgd,
+};
 use zk_gandef_repro::data::{generate, DatasetKind, GenSpec};
 use zk_gandef_repro::defense::classifier_for;
 use zk_gandef_repro::tensor::rng::Prng;
@@ -15,6 +17,7 @@ fn attack_set(b: &AttackBudget) -> Vec<Box<dyn Attack>> {
         Box::new(Pgd::new(b.eps, b.pgd_step, 3)),
         Box::new(DeepFool::new(b.eps, 3)),
         Box::new(CarliniWagner::new(b.eps, 5)),
+        Box::new(Mim::new(b.eps, b.bim_step, 3)),
     ]
 }
 
@@ -142,12 +145,13 @@ fn fingerprint(t: &zk_gandef_repro::tensor::Tensor) -> u64 {
 fn attack_outputs_reproduce_their_pinned_fingerprints() {
     use zk_gandef_repro::nn::Classifier;
     use zk_gandef_repro::tensor::accum::{with_accum, Accum};
-    const PINNED: [(&str, u64); 5] = [
+    const PINNED: [(&str, u64); 6] = [
         ("FGSM", 0x314642d45436e466),
         ("BIM", 0x4193a69589c72710),
         ("PGD", 0x5492cebae78fb4ef),
         ("DeepFool", 0x75f5808059c0c6ce),
         ("CW", 0x8d0a2c2ba5e23dd4),
+        ("MIM", 0xd297b2ed315bbea6),
     ];
     let ds = generate(
         DatasetKind::SynthDigits,
