@@ -2,7 +2,8 @@
 //!
 //! The canonical CW-l2 attack optimizes `‖δ‖² + c·f(x̂)` over a tanh-space
 //! variable, where `f(x̂) = max(z_true − max_{k≠true} z_k, −κ)` is the
-//! logit-margin surrogate ("f₆" in the paper). Per §V-B the paper runs CW
+//! logit-margin surrogate ("f₆" in the paper); we fix the confidence
+//! `κ = 0`, the original attack's default. Per §V-B the paper runs CW
 //! under the same hyper-parameter budget as PGD, so our tanh box is the
 //! intersection of the `l∞` ε-ball with the pixel range (which also keeps
 //! box constraints satisfied by construction, exactly as in the original
@@ -20,7 +21,6 @@ pub struct CarliniWagner {
     eps: f32,
     iters: usize,
     c: f32,
-    kappa: f32,
     lr: f32,
 }
 
@@ -37,7 +37,6 @@ impl CarliniWagner {
             eps,
             iters,
             c: 1.0,
-            kappa: 0.0,
             lr: 0.1,
         }
     }
@@ -45,12 +44,6 @@ impl CarliniWagner {
     /// Overrides the margin/distance trade-off constant `c`.
     pub fn with_c(mut self, c: f32) -> Self {
         self.c = c;
-        self
-    }
-
-    /// Overrides the confidence margin `κ`.
-    pub fn with_kappa(mut self, kappa: f32) -> Self {
-        self.kappa = kappa;
         self
     }
 }
@@ -116,9 +109,9 @@ impl Attack for CarliniWagner {
                 });
                 let mut weights = Tensor::zeros(&[n, classes]);
                 for (i, &(margin, runner_up)) in margins.iter().enumerate() {
-                    if margin > -self.kappa {
+                    if margin > 0.0 {
                         // Only samples whose margin is not yet broken push
-                        // gradient (the max(·, −κ) hinge).
+                        // gradient (the max(·, −κ) hinge at κ = 0).
                         weights.set(&[i, labels[i]], 1.0);
                         weights.set(&[i, runner_up], -1.0);
                     }

@@ -19,30 +19,18 @@ pub struct Mim {
     eps: f32,
     step: f32,
     iters: usize,
-    decay: f32,
 }
 
 impl Mim {
     /// Creates MIM with ball radius `eps`, per-step size `step`, `iters`
-    /// iterations and the canonical momentum decay `μ = 1.0`.
+    /// iterations and the canonical momentum decay `μ = 1`.
     ///
     /// # Panics
     ///
     /// Panics unless `eps`, `step` and `iters` are positive.
     pub fn new(eps: f32, step: f32, iters: usize) -> Self {
         assert!(eps > 0.0 && step > 0.0 && iters > 0, "invalid MIM config");
-        Mim {
-            eps,
-            step,
-            iters,
-            decay: 1.0,
-        }
-    }
-
-    /// Overrides the momentum decay factor `μ`.
-    pub fn with_decay(mut self, decay: f32) -> Self {
-        self.decay = decay;
-        self
+        Mim { eps, step, iters }
     }
 }
 
@@ -66,8 +54,8 @@ impl Attack for Mim {
         for _ in 0..self.iters {
             let (_, grad) = model.ce_input_grad(&adv, &targets);
             // Per-sample l1 normalization of the fresh gradient (owned, so
-            // normalize in place), then momentum accumulation:
-            // g ← μ·g + ∇/‖∇‖₁.
+            // normalize in place), then momentum accumulation at μ = 1:
+            // g ← g + ∇/‖∇‖₁.
             let mut normed = grad;
             for i in 0..n {
                 let slice = &mut normed.as_mut_slice()[i * row..(i + 1) * row];
@@ -76,7 +64,7 @@ impl Attack for Mim {
                     *v /= l1;
                 }
             }
-            momentum = momentum.scale(self.decay).add(&normed);
+            momentum = momentum.add(&normed);
             adv = adv.add(&momentum.signum().scale(self.step));
             adv = project(&adv, x, self.eps);
         }
@@ -121,19 +109,5 @@ mod tests {
             mim_acc < 0.2,
             "MIM should devastate a Vanilla net, got {mim_acc}"
         );
-    }
-
-    #[test]
-    fn zero_decay_reduces_to_bim_like_behavior() {
-        // With μ = 0 the momentum buffer is just the normalized fresh
-        // gradient, whose sign equals the raw gradient's sign — i.e. BIM.
-        let (net, x, y) = trained_digits_net();
-        let x = x.slice_rows(0, 4);
-        let mut rng = Prng::new(0);
-        let mim = Mim::new(0.6, 0.1, 4)
-            .with_decay(0.0)
-            .perturb(&net, &x, &y[..4], &mut rng);
-        let bim = crate::Bim::new(0.6, 0.1, 4).perturb(&net, &x, &y[..4], &mut rng);
-        assert!(mim.allclose(&bim, 1e-5));
     }
 }

@@ -16,54 +16,18 @@ pub struct Pgd {
     eps: f32,
     step: f32,
     iters: usize,
-    restarts: usize,
 }
 
 impl Pgd {
     /// Creates PGD (§IV-C: `40 × 0.02` on 28×28, `20 × 0.016` on 32×32),
-    /// with a single restart.
+    /// with a single random start.
     ///
     /// # Panics
     ///
     /// Panics unless all parameters are positive.
     pub fn new(eps: f32, step: f32, iters: usize) -> Self {
-        Pgd::with_restarts(eps, step, iters, 1)
-    }
-
-    /// As [`Pgd::new`] with multiple random restarts; the strongest example
-    /// (highest per-sample loss) across restarts is kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless all parameters are positive.
-    pub fn with_restarts(eps: f32, step: f32, iters: usize, restarts: usize) -> Self {
-        assert!(
-            eps > 0.0 && step > 0.0 && iters > 0 && restarts > 0,
-            "invalid PGD config"
-        );
-        Pgd {
-            eps,
-            step,
-            iters,
-            restarts,
-        }
-    }
-
-    fn run_once(
-        &self,
-        model: &dyn Classifier,
-        x: &Tensor,
-        targets: &Tensor,
-        rng: &mut Prng,
-    ) -> Tensor {
-        let noise = rng.uniform_tensor(x.shape().dims(), -self.eps, self.eps);
-        let mut adv = project(&x.add(&noise), x, self.eps);
-        for _ in 0..self.iters {
-            let (_, grad) = model.ce_input_grad(&adv, targets);
-            adv = adv.add(&grad.signum().scale(self.step));
-            adv = project(&adv, x, self.eps);
-        }
-        adv
+        assert!(eps > 0.0 && step > 0.0 && iters > 0, "invalid PGD config");
+        Pgd { eps, step, iters }
     }
 }
 
@@ -80,47 +44,15 @@ impl Attack for Pgd {
         rng: &mut Prng,
     ) -> Tensor {
         let targets = one_hot(labels, model.num_classes());
-        let mut best = self.run_once(model, x, &targets, rng);
-        if self.restarts > 1 {
-            let mut best_loss = per_sample_loss(model, &best, labels);
-            for _ in 1..self.restarts {
-                let cand = self.run_once(model, x, &targets, rng);
-                let cand_loss = per_sample_loss(model, &cand, labels);
-                // Keep the stronger example per sample.
-                let n = x.dim(0);
-                let mut rows: Vec<Tensor> = Vec::with_capacity(n);
-                for i in 0..n {
-                    rows.push(if cand_loss[i] > best_loss[i] {
-                        cand.row(i)
-                    } else {
-                        best.row(i)
-                    });
-                }
-                // lint:allow(alloc) — once-per-restart bookkeeping (n
-                // pointers + n floats), dwarfed by the K attack steps of
-                // forward/backward work inside each restart.
-                let refs: Vec<&Tensor> = rows.iter().collect();
-                best = Tensor::concat_rows(&refs);
-                // lint:allow(alloc) — same once-per-restart bookkeeping.
-                best_loss = best_loss
-                    .iter()
-                    .zip(&cand_loss)
-                    .map(|(b, c)| b.max(*c))
-                    .collect();
-            }
+        let noise = rng.uniform_tensor(x.shape().dims(), -self.eps, self.eps);
+        let mut adv = project(&x.add(&noise), x, self.eps);
+        for _ in 0..self.iters {
+            let (_, grad) = model.ce_input_grad(&adv, &targets);
+            adv = adv.add(&grad.signum().scale(self.step));
+            adv = project(&adv, x, self.eps);
         }
-        best
+        adv
     }
-}
-
-/// Per-sample cross-entropy of `model` on `(x, labels)`.
-fn per_sample_loss(model: &dyn Classifier, x: &Tensor, labels: &[usize]) -> Vec<f32> {
-    let log_probs = model.logits(x).log_softmax_rows();
-    labels
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| -log_probs.at(&[i, l]))
-        .collect()
 }
 
 #[cfg(test)]
@@ -179,16 +111,5 @@ mod tests {
         // Same seed reproduces exactly.
         let c = attack.perturb(&net, &x, &y[..4], &mut Prng::new(0));
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn restarts_never_weaken_the_attack() {
-        let (net, x, y) = trained_digits_net();
-        let x = x.slice_rows(0, 16);
-        let y = &y[..16];
-        let one = Pgd::new(0.6, 0.05, 5).perturb(&net, &x, y, &mut Prng::new(3));
-        let three = Pgd::with_restarts(0.6, 0.05, 5, 3).perturb(&net, &x, y, &mut Prng::new(3));
-        let loss = |adv: &Tensor| per_sample_loss(&net, adv, y).iter().sum::<f32>();
-        assert!(loss(&three) >= loss(&one) * 0.95);
     }
 }

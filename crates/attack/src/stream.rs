@@ -173,11 +173,6 @@ impl TrafficStream {
         &self.example_dims
     }
 
-    /// Number of rows in each pool.
-    pub fn pool_len(&self) -> usize {
-        self.labels.len()
-    }
-
     /// The pre-generated pool for `class`, `[n, dims…]`, rows aligned
     /// with [`TrafficStream::pool_labels`] — for offline accuracy checks.
     pub fn pool(&self, class: TrafficClass) -> &Tensor {

@@ -32,7 +32,7 @@
 
 use gandef_data::{generate, DatasetKind, GenSpec};
 use gandef_nn::run_state::{params_fingerprint, RunState};
-use gandef_nn::serialize::{load_params_meta, CheckpointError};
+use gandef_nn::serialize::{load_params, CheckpointError};
 use gandef_nn::{fault, zoo, Net};
 use gandef_tensor::rng::Prng;
 use std::path::{Path, PathBuf};
@@ -140,20 +140,14 @@ fn verify(dir: &Path) {
         Ok((state, fallback)) => {
             for (name, _) in &state.stores {
                 let path = dir.join(format!("{name}.gndf"));
-                match load_params_meta(&path) {
-                    Ok((_, meta)) if meta.verified => {}
-                    Ok(_) => {
-                        println!("STATE_CORRUPT {path:?} loaded without checksum verification");
-                        std::process::exit(1);
-                    }
-                    // A killed writer may die between the state rename and
-                    // the weight-export rename only if exports are written
-                    // first — they are, so a valid state implies valid
-                    // exports; anything else is corruption.
-                    Err(err) => {
-                        println!("STATE_CORRUPT {path:?}: {err}");
-                        std::process::exit(1);
-                    }
+                // A killed writer may die between the state rename and
+                // the weight-export rename only if exports are written
+                // first — they are, so a valid state implies valid
+                // exports; anything else (a torn file, a version-1 file
+                // without checksums) is corruption.
+                if let Err(err) = load_params(&path) {
+                    println!("STATE_CORRUPT {path:?}: {err}");
+                    std::process::exit(1);
                 }
             }
             match fallback {

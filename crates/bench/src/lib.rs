@@ -42,7 +42,7 @@ pub mod microbench;
 use gandef_data::{generate, Dataset, DatasetKind, GenSpec};
 use gandef_nn::Net;
 use gandef_tensor::rng::Prng;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use zk_gandef::defense::{AdvTraining, Clp, Cls, Defense, GanDef, Vanilla};
 use zk_gandef::TrainConfig;
 
@@ -236,11 +236,6 @@ pub fn train_defense(
     (net, report)
 }
 
-/// Reads a previously written artifact (used by tests).
-pub fn read_artifact(dir: &Path, name: &str) -> Option<String> {
-    std::fs::read_to_string(dir.join(name)).ok()
-}
-
 /// The epoch a report resumed from, if it did — for `[resumed at epoch N]`
 /// annotations next to timing numbers (a resumed run's wall-clock covers
 /// only the freshly trained epochs, so the annotation keeps the printed
@@ -255,6 +250,7 @@ pub fn resumed_epoch(report: &zk_gandef::defense::TrainReport) -> Option<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn defense_roster_matches_table3_order() {
@@ -311,7 +307,10 @@ mod tests {
             ..HarnessOpts::default()
         };
         opts.write_artifact("probe.txt", "hello");
-        assert_eq!(read_artifact(&dir, "probe.txt").as_deref(), Some("hello"));
+        assert_eq!(
+            std::fs::read_to_string(dir.join("probe.txt")).unwrap(),
+            "hello"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

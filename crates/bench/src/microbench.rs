@@ -6,8 +6,15 @@
 //! occasional scheduler hiccup and has no dependencies. Used by the
 //! `bench_kernels` binary, which tracks the GEMM/conv perf trajectory in
 //! `BENCH_tensor.json` at the repo root.
+//!
+//! Samples are read on the process CPU clock (`CLOCK_PROCESS_CPUTIME_ID`),
+//! as perfbench and the lint budget read theirs: it sums the CPU every
+//! thread of the process ran, pool workers included, and leaves out time
+//! spent waiting for a CPU that another process holds. A busy host
+//! therefore does not read as a slow kernel. The pool's idle workers
+//! block on a condition variable, so they add nothing while they wait.
 
-use std::time::Instant;
+use std::os::raw::{c_int, c_long};
 
 /// One benchmark measurement.
 #[derive(Clone, Debug)]
@@ -16,7 +23,7 @@ pub struct Measurement {
     pub name: String,
     /// Problem shape, e.g. `"256x256x256"`.
     pub shape: String,
-    /// Median wall-clock nanoseconds per iteration.
+    /// Median process-CPU nanoseconds per iteration.
     pub ns_per_iter: f64,
     /// Throughput in GFLOP/s (0 when no FLOP count applies).
     pub gflops: f64,
@@ -24,8 +31,9 @@ pub struct Measurement {
 
 /// Times `body`, returning the median nanoseconds per iteration.
 ///
-/// Runs `warmup` untimed iterations, then `samples` timed ones, and takes
-/// the median sample — the estimator least sensitive to one-off stalls.
+/// Runs `warmup` untimed iterations, then `samples` timed ones on the
+/// process CPU clock, and takes the median sample — the estimator least
+/// sensitive to one-off stalls.
 /// `body`'s return value is passed through `std::hint::black_box` so the
 /// optimizer cannot elide the work.
 ///
@@ -39,13 +47,43 @@ pub fn median_ns<T>(warmup: usize, samples: usize, mut body: impl FnMut() -> T) 
     }
     let mut times: Vec<f64> = (0..samples)
         .map(|_| {
-            let start = Instant::now();
+            let start = process_cpu_ns();
             std::hint::black_box(body());
-            start.elapsed().as_nanos() as f64
+            process_cpu_ns() - start
         })
         .collect();
     times.sort_by(|a, b| a.total_cmp(b));
     times[times.len() / 2]
+}
+
+/// `struct timespec` of 64-bit Linux, where `time_t` is a `long`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+extern "C" {
+    fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+}
+
+/// Nanoseconds of CPU all threads of this process have run. NaN if the
+/// clock cannot be read; a NaN sample sorts last and a NaN median fails
+/// the `bench_diff` gate.
+fn process_cpu_ns() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `timespec` for the whole call, and
+    // the process CPU-time clock always exists on Linux.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    if rc == 0 {
+        ts.tv_sec as f64 * 1e9 + ts.tv_nsec as f64
+    } else {
+        f64::NAN
+    }
 }
 
 /// Runs one named benchmark and derives throughput from `flops` (the

@@ -210,18 +210,6 @@ impl TrainConfig {
         self.checkpoint = Some(CheckpointPolicy::new(dir));
         self
     }
-
-    /// Returns a copy with an explicit checkpoint policy.
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint = Some(policy);
-        self
-    }
-
-    /// Returns a copy with an explicit divergence-guard policy.
-    pub fn with_guard(mut self, guard: GuardPolicy) -> Self {
-        self.guard = guard;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ impl RunParts<'_> {
     fn capture(&self, epoch: usize) -> RunState {
         RunState {
             epoch: epoch as u64,
-            accum: Some(gandef_tensor::accum::accum()),
+            accum: gandef_tensor::accum::accum(),
             rng: self.rng.state(),
             stores: self
                 .stores
@@ -192,13 +192,12 @@ impl RunDriver {
     /// Refuses resumes that would silently change the run's semantics.
     fn check_resumable(state: &RunState, cfg: &TrainConfig) -> Result<(), CheckpointError> {
         let now = gandef_tensor::accum::accum();
-        if let Some(saved) = state.accum {
-            if saved != now {
-                return Err(CheckpointError::Mismatch(format!(
-                    "checkpoint was trained under {saved:?} accumulation but this run uses \
-                     {now:?}; resuming would mix numerics modes"
-                )));
-            }
+        if state.accum != now {
+            return Err(CheckpointError::Mismatch(format!(
+                "checkpoint was trained under {:?} accumulation but this run uses \
+                 {now:?}; resuming would mix numerics modes",
+                state.accum
+            )));
         }
         if state.epoch as usize > cfg.epochs {
             return Err(CheckpointError::Mismatch(format!(

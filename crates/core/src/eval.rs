@@ -17,9 +17,6 @@ const EVAL_CHUNK: usize = 32;
 /// The four example types of Table III, in column order.
 pub const TABLE3_EXAMPLES: [&str; 4] = ["Original", "FGSM", "BIM", "PGD"];
 
-/// The two extra generators of Table IV.
-pub const TABLE4_EXAMPLES: [&str; 2] = ["Deepfool", "CW"];
-
 /// Builds the §IV-C attack set used by Table III: FGSM, BIM and PGD with
 /// the dataset's budget.
 pub fn standard_attacks(budget: &AttackBudget) -> Vec<Box<dyn Attack>> {
@@ -197,100 +194,6 @@ impl AccuracyGrid {
     }
 }
 
-/// A confusion matrix (rows = ground truth, columns = prediction) —
-/// finer-grained than §IV-E's scalar test accuracy; useful for seeing
-/// *where* a defense trades clean accuracy (e.g. which garment classes CLS
-/// merges when its logits are squeezed).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    classes: usize,
-    counts: Vec<usize>,
-}
-
-impl ConfusionMatrix {
-    /// Builds a matrix from parallel prediction/label slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ, are zero, or any entry is `>= classes`.
-    pub fn from_predictions(predictions: &[usize], labels: &[usize], classes: usize) -> Self {
-        assert_eq!(predictions.len(), labels.len(), "length mismatch");
-        assert!(!labels.is_empty(), "empty evaluation set");
-        let mut counts = vec![0usize; classes * classes];
-        for (&p, &t) in predictions.iter().zip(labels) {
-            assert!(p < classes && t < classes, "class index out of range");
-            counts[t * classes + p] += 1;
-        }
-        ConfusionMatrix { classes, counts }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Count of samples with ground truth `truth` predicted as `pred`.
-    pub fn count(&self, truth: usize, pred: usize) -> usize {
-        self.counts[truth * self.classes + pred]
-    }
-
-    /// Overall accuracy (trace over total).
-    pub fn accuracy(&self) -> f32 {
-        let correct: usize = (0..self.classes).map(|c| self.count(c, c)).sum();
-        let total: usize = self.counts.iter().sum();
-        correct as f32 / total as f32
-    }
-
-    /// Per-class recall (`None` for classes absent from the labels).
-    pub fn per_class_recall(&self) -> Vec<Option<f32>> {
-        (0..self.classes)
-            .map(|t| {
-                let row: usize = (0..self.classes).map(|p| self.count(t, p)).sum();
-                if row == 0 {
-                    None
-                } else {
-                    Some(self.count(t, t) as f32 / row as f32)
-                }
-            })
-            .collect()
-    }
-
-    /// The most confused (truth, prediction) off-diagonal pair, if any
-    /// misclassification happened.
-    pub fn worst_confusion(&self) -> Option<(usize, usize, usize)> {
-        let mut best: Option<(usize, usize, usize)> = None;
-        for t in 0..self.classes {
-            for p in 0..self.classes {
-                if t != p && self.count(t, p) > 0 {
-                    let c = self.count(t, p);
-                    if best.is_none_or(|(_, _, bc)| c > bc) {
-                        best = Some((t, p, c));
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    /// Renders the matrix as markdown.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::from("| truth \\ pred |");
-        for p in 0..self.classes {
-            out.push_str(&format!(" {p} |"));
-        }
-        out.push('\n');
-        out.push_str(&format!("|---|{}\n", "---|".repeat(self.classes)));
-        for t in 0..self.classes {
-            out.push_str(&format!("| **{t}** |"));
-            for p in 0..self.classes {
-                out.push_str(&format!(" {} |", self.count(t, p)));
-            }
-            out.push('\n');
-        }
-        out
-    }
-}
-
 impl fmt::Display for AccuracyGrid {
     /// Renders with the Table-III column set.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -340,33 +243,6 @@ mod tests {
         for (_, acc) in rows {
             assert!((0.0..=1.0).contains(&acc));
         }
-    }
-
-    #[test]
-    fn confusion_matrix_counts_and_stats() {
-        let preds = [0usize, 1, 1, 2, 2, 2];
-        let labels = [0usize, 1, 2, 2, 2, 0];
-        let m = ConfusionMatrix::from_predictions(&preds, &labels, 3);
-        assert_eq!(m.count(0, 0), 1);
-        assert_eq!(m.count(2, 1), 1);
-        assert_eq!(m.count(0, 2), 1);
-        assert_eq!(m.accuracy(), 4.0 / 6.0);
-        let recall = m.per_class_recall();
-        assert_eq!(recall[0], Some(0.5));
-        assert_eq!(recall[1], Some(1.0));
-        assert_eq!(recall[2], Some(2.0 / 3.0));
-        let (t, p, c) = m.worst_confusion().unwrap();
-        assert!(c == 1 && t != p);
-        assert!(m.to_markdown().contains("| **0** |"));
-    }
-
-    #[test]
-    fn confusion_matrix_perfect_predictions() {
-        let labels = [0usize, 1, 2, 1];
-        let m = ConfusionMatrix::from_predictions(&labels, &labels, 3);
-        assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.worst_confusion(), None);
-        assert_eq!(m.classes(), 3);
     }
 
     #[test]

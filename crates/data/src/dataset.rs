@@ -108,23 +108,6 @@ pub struct Dataset {
     pub test_y: Vec<usize>,
 }
 
-impl Dataset {
-    /// `[C, H, W]` dimensions of a single image.
-    pub fn image_dims(&self) -> [usize; 3] {
-        [self.kind.channels(), self.kind.side(), self.kind.side()]
-    }
-
-    /// A subset of the test split (first `n` rows) — harness binaries use
-    /// this to bound attack-generation cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds the test size.
-    pub fn test_subset(&self, n: usize) -> (Tensor, Vec<usize>) {
-        (self.test_x.slice_rows(0, n), self.test_y[..n].to_vec())
-    }
-}
-
 impl fmt::Debug for Dataset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -237,7 +220,7 @@ mod tests {
                     seed: 7,
                 },
             );
-            let [c, h, w] = ds.image_dims();
+            let (c, h, w) = (kind.channels(), kind.side(), kind.side());
             assert_eq!(ds.train_x.shape().dims(), &[40, c, h, w]);
             assert_eq!(ds.test_x.shape().dims(), &[20, c, h, w]);
             assert!(ds.train_x.min_value() >= -1.0);
@@ -351,20 +334,5 @@ mod tests {
             .flat_map(|(_, y)| y)
             .collect();
         assert_ne!(y1, y2);
-    }
-
-    #[test]
-    fn test_subset_prefix() {
-        let ds = generate(
-            DatasetKind::SynthDigits,
-            &GenSpec {
-                train: 10,
-                test: 10,
-                seed: 3,
-            },
-        );
-        let (x, y) = ds.test_subset(4);
-        assert_eq!(x.dim(0), 4);
-        assert_eq!(y, ds.test_y[..4]);
     }
 }

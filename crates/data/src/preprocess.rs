@@ -32,15 +32,6 @@ pub fn gaussian_perturb(x: &Tensor, sigma: f32, rng: &mut Prng) -> Tensor {
     })
 }
 
-/// Two independent Gaussian perturbations of the same batch — the paired
-/// inputs CLP trains on (Figure 2a).
-pub fn gaussian_pair(x: &Tensor, sigma: f32, rng: &mut Prng) -> (Tensor, Tensor) {
-    (
-        gaussian_perturb(x, sigma, rng),
-        gaussian_perturb(x, sigma, rng),
-    )
-}
-
 /// Uniform perturbation `U(−a, a)` per pixel, projected into the pixel
 /// range. An alternative augmentation source; the paper leaves "the
 /// detailed comparison of different augmentation methods as future work"
@@ -132,13 +123,5 @@ mod tests {
             .as_slice()
             .iter()
             .all(|&v| v == 0.0 || v == PIXEL_MIN || v == PIXEL_MAX));
-    }
-
-    #[test]
-    fn pair_components_are_independent() {
-        let x = Tensor::zeros(&[1, 1, 8, 8]);
-        let mut rng = Prng::new(3);
-        let (a, b) = gaussian_pair(&x, 1.0, &mut rng);
-        assert_ne!(a, b);
     }
 }

@@ -1,6 +1,7 @@
 //! `gandef-lint` CLI: lints the workspace (or explicit files) and exits
 //! nonzero on any violation. See the crate docs for the rule set.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -16,7 +17,8 @@ const USAGE: &str = "usage: gandef-lint [--root DIR] [--knobs FILE] [--format te
                       FILE and fail (exit 1) if this run's total lint time\n\
                       exceeds 3x the baseline — the CI perf regression gate\n\
   Exit codes: 0 clean, 1 rule violations or a blown budget, 2 parse or\n\
-  usage/I-O error.";
+  usage/I-O error. A closed stdout ends the output, not the run: the\n\
+  exit code is still the verdict.";
 
 enum Format {
     Text,
@@ -55,8 +57,10 @@ fn main() -> ExitCode {
                 None => return usage_error("--budget requires a baseline file"),
             },
             "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return match emit(&format!("{USAGE}\n")) {
+                    Ok(()) => ExitCode::SUCCESS,
+                    Err(code) => code,
+                };
             }
             flag if flag.starts_with('-') => {
                 return usage_error(&format!("unknown flag {flag}"));
@@ -105,12 +109,12 @@ fn main() -> ExitCode {
                 over
             });
             let clean = outcome.violations.is_empty() && outcome.parse_errors.is_empty();
-            match format {
-                Format::Json => print!("{}", gandef_lint::render_json(&outcome)),
-                Format::Text if clean => println!(
-                    "gandef-lint: OK — {} files, 0 violations",
+            let printed = match format {
+                Format::Json => emit(&gandef_lint::render_json(&outcome)),
+                Format::Text if clean => emit(&format!(
+                    "gandef-lint: OK — {} files, 0 violations\n",
                     outcome.files_checked
-                ),
+                )),
                 Format::Text => {
                     for e in &outcome.parse_errors {
                         eprintln!("{e}");
@@ -124,7 +128,11 @@ fn main() -> ExitCode {
                         outcome.parse_errors.len(),
                         outcome.files_checked
                     );
+                    Ok(())
                 }
+            };
+            if let Err(code) = printed {
+                return code;
             }
             // Parse errors take precedence: a structurally broken file
             // means every rule verdict for it is suspect.
@@ -160,6 +168,20 @@ fn read_budget(path: &std::path::Path) -> Result<f64, String> {
                 path.display()
             )
         })
+}
+
+/// Writes `text` to stdout. A reader that closed the pipe early (`| head`)
+/// gets EPIPE, which ends the output and leaves the exit code to the
+/// run's verdict; any other write failure is an I/O error (exit 2).
+fn emit(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("gandef-lint: error: writing stdout: {e}");
+            Err(ExitCode::from(2))
+        }
+        _ => Ok(()),
+    }
 }
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -85,6 +85,31 @@ fn cli_exit_codes_follow_the_contract() {
         String::from_utf8_lossy(&clean.stderr)
     );
 
+    // A closed stdout (`gandef-lint ... | head -0`) ends the output, not
+    // the verdict: the pipe's read end is closed before the binary
+    // starts, so every stdout write meets EPIPE. JSON puts the seeded
+    // report on stdout; text puts the clean file's `OK` line there.
+    let json_seeded: Vec<&str> = ["--format=json"].iter().chain(&SEEDED).copied().collect();
+    for (args, want) in [
+        (json_seeded.as_slice(), 1),
+        (&["crates/lint/src/lexer.rs"][..], 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let run = Command::new(env!("CARGO_BIN_EXE_gandef-lint"))
+            .current_dir(&root)
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run gandef-lint");
+        assert_eq!(
+            run.status.code(),
+            Some(want),
+            "{args:?} with stdout closed:\n{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+
     // `--panics`, `--concurrency` and `--determinism` are not options: a
     // script that still passes one fails loudly and writes nothing.
     let scratch = std::env::temp_dir().join(format!("gandef-lint-flags-{}", std::process::id()));

@@ -1,8 +1,8 @@
-//! First-order optimizers.
+//! The first-order optimizer: Adam, behind the [`Optimizer`] trait.
 //!
 //! Gradients arrive as `Vec<Option<Tensor>>` in parameter-store order
 //! (`None` for parameters the loss did not reach — the frozen network in an
-//! alternating GAN update keeps its momentum/Adam state untouched).
+//! alternating GAN update keeps its Adam state untouched).
 
 use crate::params::Params;
 use gandef_tensor::accum::{accum, Accum};
@@ -16,74 +16,6 @@ pub trait Optimizer {
     ///
     /// Panics if `grads.len()` differs from `params.len()`.
     fn step(&mut self, params: &mut Params, grads: &[Option<Tensor>]);
-
-    /// Clears any accumulated state (momentum buffers, Adam moments).
-    fn reset(&mut self);
-}
-
-/// Plain stochastic gradient descent: `w ← w − lr·g`.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Params, grads: &[Option<Tensor>]) {
-        assert_eq!(grads.len(), params.len(), "gradient count mismatch");
-        for (i, g) in grads.iter().enumerate() {
-            if let Some(g) = g {
-                params.value_at_mut(i).axpy(-self.lr, g);
-            }
-        }
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// SGD with classical momentum: `v ← μv + g; w ← w − lr·v`.
-#[derive(Clone, Debug)]
-pub struct Momentum {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient `μ`.
-    pub mu: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Momentum {
-    /// Creates momentum SGD.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        Momentum {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut Params, grads: &[Option<Tensor>]) {
-        assert_eq!(grads.len(), params.len(), "gradient count mismatch");
-        self.velocity.resize(params.len(), None);
-        for (i, g) in grads.iter().enumerate() {
-            let Some(g) = g else { continue };
-            let v = self.velocity[i].get_or_insert_with(|| Tensor::zeros(g.shape().dims()));
-            *v = v.scale(self.mu).add(g);
-            params.value_at_mut(i).axpy(-self.lr, v);
-        }
-    }
-
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) — the optimizer the paper uses for the
@@ -196,12 +128,6 @@ impl Optimizer for Adam {
             }
         }
     }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
 }
 
 /// One in-place Adam pass over a parameter: per element, the moment
@@ -252,18 +178,6 @@ mod tests {
             opt.step(&mut params, &[Some(g)]);
         }
         params.get("w").sub(&target).l2_norm()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(optimize(&mut opt, 100) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let mut opt = Momentum::new(0.05, 0.9);
-        assert!(optimize(&mut opt, 200) < 1e-3);
     }
 
     #[test]
@@ -319,26 +233,5 @@ mod tests {
         let straight = run(None);
         let resumed = run(Some(10));
         assert_eq!(straight.as_slice(), resumed.as_slice());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut opt = Momentum::new(0.1, 0.9);
-        let mut params = Params::new();
-        params.insert("w", Tensor::zeros(&[1]));
-        let g = Tensor::ones(&[1]);
-        opt.step(&mut params, &[Some(g.clone())]);
-        opt.step(&mut params, &[Some(g.clone())]);
-        let with_momentum = params.get("w").as_slice()[0];
-        // Fresh optimizer, same two steps but reset in between: momentum
-        // buffer rebuilt, so the second step is smaller in magnitude.
-        let mut opt2 = Momentum::new(0.1, 0.9);
-        let mut params2 = Params::new();
-        params2.insert("w", Tensor::zeros(&[1]));
-        opt2.step(&mut params2, &[Some(g.clone())]);
-        opt2.reset();
-        opt2.step(&mut params2, &[Some(g)]);
-        let without = params2.get("w").as_slice()[0];
-        assert!(with_momentum < without, "{with_momentum} vs {without}");
     }
 }

@@ -108,15 +108,6 @@ impl Params {
             .unwrap_or_else(|| panic!("unknown parameter {name:?}"))
     }
 
-    /// Parameter tensor at positional index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of range.
-    pub fn value_at(&self, i: usize) -> &Tensor {
-        &self.values[i]
-    }
-
     /// Mutable parameter tensor at positional index `i`.
     ///
     /// # Panics

@@ -12,7 +12,7 @@
 //! The on-disk layout (version 1, all integers little-endian):
 //!
 //! ```text
-//! magic "GNRS" | version u32 | epoch u64 | accum u32 (0 none, 1 f32, 2 f64)
+//! magic "GNRS" | version u32 | epoch u64 | accum u32 (1 f32, 2 f64)
 //! rng state 4×u64
 //! store count u32 | per store: name | param count u32 | per param: name, tensor
 //! optim count u32 | per optim: name | lr f32-bits u32 | t u64
@@ -43,10 +43,10 @@ pub struct RunState {
     /// Completed epochs (the resume point: training continues at this
     /// epoch index).
     pub epoch: u64,
-    /// Accumulation mode the run was training under, if it pinned one.
+    /// Accumulation mode the run was training under, always recorded.
     /// A resume refuses to silently continue under a different mode —
     /// mixing f32 and f64 accumulation breaks the bit-exactness story.
-    pub accum: Option<Accum>,
+    pub accum: Accum,
     /// The training RNG's full state at the epoch boundary.
     pub rng: [u64; 4],
     /// Named parameter stores — one for single-network defenses, two
@@ -88,9 +88,8 @@ impl RunState {
         enc.put_u32(VERSION);
         enc.put_u64(self.epoch);
         enc.put_u32(match self.accum {
-            None => 0,
-            Some(Accum::F32) => 1,
-            Some(Accum::F64) => 2,
+            Accum::F32 => 1,
+            Accum::F64 => 2,
         });
         for w in self.rng {
             enc.put_u64(w);
@@ -172,9 +171,8 @@ impl RunState {
         }
         let epoch = cur.get_u64()?;
         let accum = match cur.get_u32()? {
-            0 => None,
-            1 => Some(Accum::F32),
-            2 => Some(Accum::F64),
+            1 => Accum::F32,
+            2 => Accum::F64,
             other => {
                 return Err(CheckpointError::Format(format!(
                     "unknown accumulation tag {other}"
@@ -446,7 +444,7 @@ mod tests {
         };
         RunState {
             epoch: 7,
-            accum: Some(Accum::F64),
+            accum: Accum::F64,
             rng: rng.state(),
             stores: vec![("model".into(), model), ("disc".into(), disc)],
             optims: vec![("opt_c".into(), opt)],
@@ -488,7 +486,7 @@ mod tests {
 
     #[test]
     fn accum_tag_roundtrips_every_mode() {
-        for accum in [None, Some(Accum::F32), Some(Accum::F64)] {
+        for accum in [Accum::F32, Accum::F64] {
             let mut state = sample_state();
             state.accum = accum;
             let back = RunState::from_bytes(&state.to_bytes().unwrap()).unwrap();
@@ -498,19 +496,23 @@ mod tests {
 
     #[test]
     fn retired_accum_tag_is_a_format_error() {
-        // Tag 3 was the compensated-f32 mode, which no longer exists: a run
-        // state carrying it must fail loudly rather than resume as f32.
-        let mut bytes = sample_state().to_bytes().unwrap();
-        let tag = MAGIC.len() + 4 + 8; // magic | version u32 | epoch u64
-        bytes[tag..tag + 4].copy_from_slice(&3u32.to_le_bytes());
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
-        match RunState::from_bytes(&bytes) {
-            Err(CheckpointError::Format(msg)) => {
-                assert!(msg.contains("unknown accumulation tag 3"), "{msg}")
+        // Tag 0 meant "no mode recorded", which no writer emits; tag 3
+        // was the compensated-f32 mode, which no longer exists. A run state carrying either must fail loudly
+        // rather than resume under a guessed mode.
+        for retired in [0u32, 3] {
+            let mut bytes = sample_state().to_bytes().unwrap();
+            let tag = MAGIC.len() + 4 + 8; // magic | version u32 | epoch u64
+            bytes[tag..tag + 4].copy_from_slice(&retired.to_le_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            match RunState::from_bytes(&bytes) {
+                Err(CheckpointError::Format(msg)) => assert!(
+                    msg.contains(&format!("unknown accumulation tag {retired}")),
+                    "{msg}"
+                ),
+                other => panic!("expected a format error, got {other:?}"),
             }
-            other => panic!("expected a format error, got {other:?}"),
         }
     }
 

@@ -15,9 +15,9 @@
 //! whole-file CRC catches truncation and anything between entries. Writes
 //! are atomic (temp file in the target directory, fsync, rename — see
 //! [`crate::wire::atomic_write`]), so a crash mid-save leaves the previous
-//! checkpoint intact rather than a torn file. Version-1 files (no
-//! checksums) still load but are flagged unverified in
-//! [`CheckpointMeta`].
+//! checkpoint intact rather than a torn file. The loader accepts version 2
+//! only, so every checkpoint it returns has passed both checksums;
+//! version-1 files, which carried none, are rejected.
 //!
 //! Architectures themselves are code (see [`crate::zoo`]); a checkpoint
 //! restores the *weights* into a freshly built model of the same
@@ -69,17 +69,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// What the loader established about a checkpoint it accepted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckpointMeta {
-    /// Format version the file was written with.
-    pub version: u32,
-    /// Whether checksums were present and verified. `false` for legacy
-    /// version-1 files, which carry no CRCs — the data parsed, but bit
-    /// rot would go undetected.
-    pub verified: bool,
-}
-
 /// Serializes `params` into GNDF v2 bytes (checksummed).
 ///
 /// # Errors
@@ -128,42 +117,41 @@ pub fn save_params(params: &Params, path: impl AsRef<Path>) -> Result<(), Checkp
 /// wrapper — and it is total: any byte sequence yields `Ok` or a typed
 /// error, never a panic. The corruption fuzz tests drive this entry point
 /// over every truncation prefix and single-byte flip of a valid file.
+/// An `Ok` means both checksums of every entry and of the file were
+/// verified.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Format`] on bad magic, unsupported version,
-/// truncation, checksum mismatch or any malformed entry.
-pub fn load_params_from_bytes(bytes: &[u8]) -> Result<(Params, CheckpointMeta), CheckpointError> {
-    let mut cur = Cursor::new(bytes);
+/// [`CheckpointError::Format`] on bad magic, any version but 2 (version 1
+/// carried no checksums), truncation, checksum mismatch or any malformed
+/// entry.
+pub fn load_params_from_bytes(bytes: &[u8]) -> Result<Params, CheckpointError> {
+    // Everything but the 4-byte file checksum trailer.
+    let (body, trailer) = bytes.split_at(bytes.len().saturating_sub(4));
+    let mut cur = Cursor::new(body);
     if cur.take(4)? != MAGIC {
         return Err(CheckpointError::Format("bad magic".into()));
     }
     let version = cur.get_u32()?;
-    let verified = match version {
-        1 => false,
-        2 => {
-            // Whole-file CRC first: cheap, and it catches truncation and
-            // inter-entry corruption before any structural parsing.
-            if bytes.len() < 16 {
-                return Err(CheckpointError::Format(
-                    "truncated: no file checksum".into(),
-                ));
-            }
-            let body = &bytes[..bytes.len() - 4];
-            let mut trailer = Cursor::new(&bytes[bytes.len() - 4..]);
-            let stored = trailer.get_u32()?;
-            let actual = crc32(body);
-            if stored != actual {
-                return Err(CheckpointError::Format(format!(
-                    "file checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
-                )));
-            }
-            true
-        }
-        v => {
-            return Err(CheckpointError::Format(format!("unsupported version {v}")));
-        }
-    };
+    if version != VERSION {
+        return Err(CheckpointError::Format(format!(
+            "unsupported version {version}"
+        )));
+    }
+    // Whole-file CRC first: cheap, and it catches truncation and
+    // inter-entry corruption before any structural parsing.
+    if bytes.len() < 16 {
+        return Err(CheckpointError::Format(
+            "truncated: no file checksum".into(),
+        ));
+    }
+    let stored = Cursor::new(trailer).get_u32()?;
+    let actual = crc32(body);
+    if stored != actual {
+        return Err(CheckpointError::Format(format!(
+            "file checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        )));
+    }
     let count = cur.get_u32()? as usize;
     if count > 1_000_000 {
         return Err(CheckpointError::Format(format!(
@@ -175,14 +163,12 @@ pub fn load_params_from_bytes(bytes: &[u8]) -> Result<(Params, CheckpointMeta), 
         let entry_start = cur.pos();
         let name = cur.get_str()?;
         let tensor = cur.get_tensor(&name)?;
-        if version >= 2 {
-            let stored = cur.get_u32()?;
-            let actual = crc32(&bytes[entry_start..cur.pos() - 4]);
-            if stored != actual {
-                return Err(CheckpointError::Format(format!(
-                    "entry {name:?}: checksum mismatch"
-                )));
-            }
+        let stored = cur.get_u32()?;
+        let actual = crc32(&body[entry_start..cur.pos() - 4]);
+        if stored != actual {
+            return Err(CheckpointError::Format(format!(
+                "entry {name:?}: checksum mismatch"
+            )));
         }
         if params.contains(&name) {
             return Err(CheckpointError::Format(format!(
@@ -191,39 +177,25 @@ pub fn load_params_from_bytes(bytes: &[u8]) -> Result<(Params, CheckpointMeta), 
         }
         params.insert(&name, tensor);
     }
-    let trailing = if verified { 4 } else { 0 };
-    if cur.remaining() != trailing {
+    if cur.remaining() != 0 {
         return Err(CheckpointError::Format(format!(
             "{} unexpected trailing bytes",
-            cur.remaining() - trailing
+            cur.remaining()
         )));
     }
-    Ok((params, CheckpointMeta { version, verified }))
-}
-
-/// Reads a GNDF checkpoint into a fresh [`Params`] store, reporting
-/// whether its checksums were verified.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] on filesystem failures,
-/// [`CheckpointError::Format`] for anything wrong with the bytes (see
-/// [`load_params_from_bytes`]).
-pub fn load_params_meta(
-    path: impl AsRef<Path>,
-) -> Result<(Params, CheckpointMeta), CheckpointError> {
-    let bytes = std::fs::read(path)?;
-    load_params_from_bytes(&bytes)
+    Ok(params)
 }
 
 /// Reads a GNDF checkpoint into a fresh [`Params`] store.
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Format`] if the file is not a valid
-/// checkpoint, or [`CheckpointError::Io`] on filesystem failures.
+/// [`CheckpointError::Io`] on filesystem failures,
+/// [`CheckpointError::Format`] for anything wrong with the bytes (see
+/// [`load_params_from_bytes`]).
 pub fn load_params(path: impl AsRef<Path>) -> Result<Params, CheckpointError> {
-    load_params_meta(path).map(|(p, _)| p)
+    let bytes = std::fs::read(path)?;
+    load_params_from_bytes(&bytes)
 }
 
 /// Content fingerprint of a checkpoint file (FNV-1a 64), for cheap
@@ -370,14 +342,7 @@ mod tests {
         let path = temp_path("roundtrip");
         let original = sample_params();
         save_params(&original, &path).unwrap();
-        let (loaded, meta) = load_params_meta(&path).unwrap();
-        assert_eq!(
-            meta,
-            CheckpointMeta {
-                version: 2,
-                verified: true
-            }
-        );
+        let loaded = load_params(&path).unwrap();
         assert_eq!(loaded.len(), original.len());
         assert_eq!(loaded.names(), original.names());
         for (name, tensor) in original.iter() {
@@ -535,54 +500,30 @@ mod tests {
         );
     }
 
-    /// Serializes in the legacy v1 layout (no checksums) for
-    /// compatibility tests.
-    fn params_to_v1_bytes(params: &Params) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.put_bytes(MAGIC);
-        enc.put_u32(1);
-        enc.put_u32(params.len() as u32);
-        for (name, tensor) in params.iter() {
-            enc.put_str(name).unwrap();
-            enc.put_tensor(tensor).unwrap();
-        }
-        enc.into_bytes()
-    }
-
-    #[test]
-    fn legacy_v1_files_load_but_are_unverified() {
-        let original = sample_params();
-        let bytes = params_to_v1_bytes(&original);
-        let (loaded, meta) = load_params_from_bytes(&bytes).unwrap();
-        assert_eq!(
-            meta,
-            CheckpointMeta {
-                version: 1,
-                verified: false
-            }
-        );
-        for (name, tensor) in original.iter() {
-            assert_eq!(loaded.get(name), tensor, "{name}");
-        }
-        // v1 has no checksum: a payload bit flip goes undetected — which
-        // is exactly why meta.verified is false.
-        let mut corrupt = bytes.clone();
-        let mid = corrupt.len() - 8;
-        corrupt[mid] ^= 0x01;
-        assert!(load_params_from_bytes(&corrupt).is_ok());
-    }
-
     #[test]
     fn unsupported_version_rejected() {
-        let mut enc = Enc::new();
-        enc.put_bytes(MAGIC);
-        enc.put_u32(3);
-        enc.put_u32(0);
-        let err = load_params_from_bytes(&enc.into_bytes()).unwrap_err();
-        assert!(
-            matches!(&err, CheckpointError::Format(m) if m.contains("version")),
-            "{err}"
-        );
+        // Version 1 is the legacy layout without checksums: entries
+        // back to back, no entry or file CRC. It parsed structurally, so
+        // a flipped payload bit went undetected; it is refused like any
+        // other unknown version. Version 3 does not exist yet.
+        let mut v1 = Enc::new();
+        v1.put_bytes(MAGIC);
+        v1.put_u32(1);
+        v1.put_u32(1);
+        v1.put_str("w").unwrap();
+        v1.put_tensor(&Tensor::ones(&[2])).unwrap();
+        let mut v3 = Enc::new();
+        v3.put_bytes(MAGIC);
+        v3.put_u32(3);
+        v3.put_u32(0);
+        for (version, bytes) in [(1, v1.into_bytes()), (3, v3.into_bytes())] {
+            let err = load_params_from_bytes(&bytes).unwrap_err();
+            let want = format!("unsupported version {version}");
+            assert!(
+                matches!(&err, CheckpointError::Format(m) if *m == want),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -630,7 +571,7 @@ mod tests {
         }
         assert!(point > 3, "expected several I/O points, saw {point}");
         // And the un-faulted save fully replaced the file.
-        let (loaded, _) = load_params_meta(&path).unwrap();
+        let loaded = load_params(&path).unwrap();
         assert_eq!(loaded.get("fc.w"), new.get("fc.w"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -639,8 +580,7 @@ mod tests {
     fn corruption_fuzz_every_prefix_and_byte_flip_errors_never_panics() {
         // Totality sweep over the loader: every truncation prefix and
         // three bit-flip patterns at every byte offset must produce a
-        // typed error (or, for flips v1-style undetectable — impossible
-        // in v2 — an Ok), and never a panic. A small store keeps this
+        // typed error, and never a panic. A small store keeps this
         // a few thousand cases.
         let mut p = Params::new();
         p.insert("a", Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]));

@@ -15,16 +15,15 @@
 //!   weight file (`(len, mtime, fingerprint)` key — the content
 //!   fingerprint catches a same-size, same-mtime rewrite that a pure
 //!   metadata key misses) and, when it changes, loads it with the
-//!   CRC-verifying [`load_params_meta`]. Only
-//!   a checkpoint that (a) passes the checksum and (b) is
+//!   CRC-verifying [`load_params`]. Only
+//!   a checkpoint that (a) passes the checksums and (b) is
 //!   name/shape-compatible with the current weights is swapped in —
 //!   atomically, as an `Arc<Params>` snapshot taken once per batch, so a
 //!   batch never sees a torn or mixed set of weights. A bad file (torn
-//!   write, wrong model) is counted and the server keeps answering from
-//!   the previous snapshot.
-//! * **Deadlines.** A request carries an optional deadline
-//!   ([`ServeConfig::deadline`] or the per-request
-//!   [`Server::submit_with_deadline`] override). The batcher *expires*
+//!   write, wrong model, a version-1 file without checksums) is counted
+//!   and the server keeps answering from the previous snapshot.
+//! * **Deadlines.** A request carries the optional
+//!   [`ServeConfig::deadline`]. The batcher *expires*
 //!   an overdue request with [`ServeError::DeadlineExceeded`] instead of
 //!   serving it late, so one slow batch cannot poison the latency of
 //!   everything queued behind it.
@@ -88,7 +87,7 @@ use std::time::{Duration, Instant};
 
 use gandef_nn::fault::io_point;
 use gandef_nn::layer::Sequential;
-use gandef_nn::serialize::{checkpoint_fingerprint, load_params_meta};
+use gandef_nn::serialize::{checkpoint_fingerprint, load_params};
 use gandef_nn::Params;
 use gandef_tensor::accum::{with_accum, Accum};
 use gandef_tensor::rng::Prng;
@@ -118,7 +117,7 @@ pub struct ServeConfig {
     /// retry-after hint instead of queueing deeper. `None` (default)
     /// disables shedding, leaving only the hard [`Self::queue_cap`].
     pub shed_threshold: Option<usize>,
-    /// Default per-request deadline, measured from the moment
+    /// Per-request deadline, measured from the moment
     /// [`Server::submit`] accepts the request: a request the batcher has
     /// not *dispatched* by then is expired with
     /// [`ServeError::DeadlineExceeded`] instead of served late. `None`
@@ -172,15 +171,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the default per-request deadline.
+    /// Sets the per-request deadline.
     pub fn deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Clears the default per-request deadline (requests wait forever).
-    pub fn no_deadline(mut self) -> Self {
-        self.deadline = None;
         self
     }
 
@@ -481,22 +474,10 @@ impl Server {
         }
     }
 
-    /// Enqueues one example (shape exactly `example_dims`) under the
-    /// configured default deadline and returns a [`Pending`] handle
+    /// Enqueues one example (shape exactly `example_dims`) under
+    /// [`ServeConfig::deadline`] and returns a [`Pending`] handle
     /// without blocking on the forward pass.
     pub fn submit(&self, x: Tensor) -> Result<Pending, ServeError> {
-        self.submit_with_deadline(x, self.shared.cfg.deadline)
-    }
-
-    /// [`Server::submit`] with a per-request deadline override: `None`
-    /// waits indefinitely regardless of [`ServeConfig::deadline`];
-    /// `Some(d)` expires the request `d` after acceptance if the batcher
-    /// has not dispatched it by then.
-    pub fn submit_with_deadline(
-        &self,
-        x: Tensor,
-        deadline: Option<Duration>,
-    ) -> Result<Pending, ServeError> {
         if x.shape().dims() != self.shared.example_dims.as_slice() {
             return Err(ServeError::BadShape {
                 expected: self.shared.example_dims.clone(),
@@ -544,7 +525,7 @@ impl Server {
                 x,
                 tx: Some(tx),
                 enqueued: now,
-                deadline: deadline.map(|d| now + d),
+                deadline: self.shared.cfg.deadline.map(|d| now + d),
             });
         }
         // lint:allow(atomics) — monotonic stats counter; stats() readers
@@ -916,8 +897,8 @@ fn poll_reload(shared: &Shared, path: &PathBuf, last_key: &mut Option<FileKey>) 
         );
         return;
     }
-    match load_params_meta(path) {
-        Ok((loaded, meta)) if meta.verified => {
+    match load_params(path) {
+        Ok(loaded) => {
             let current = lock(&shared.snapshot).clone();
             if compatible(&current, &loaded) {
                 *lock(&shared.snapshot) = Arc::new(loaded);
@@ -936,18 +917,6 @@ fn poll_reload(shared: &Shared, path: &PathBuf, last_key: &mut Option<FileKey>) 
                     path.display()
                 );
             }
-        }
-        Ok(_) => {
-            // lint:allow(atomics) — monotonic stats counter,
-            // see stats().
-            shared
-                .stats
-                .rejected_reloads
-                .fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "gandef-serve: rejected reload of {}: checkpoint is unverified",
-                path.display()
-            );
         }
         Err(e) => {
             // lint:allow(atomics) — monotonic stats counter,
@@ -1052,7 +1021,6 @@ mod tests {
         let cfg = ServeConfig::default()
             .max_batch(1000)
             .max_wait(Duration::from_secs(60))
-            .no_deadline()
             .queue_cap(2);
         let server = Server::new(model, params, vec![6], cfg);
         let p1 = server.submit(Tensor::zeros(&[6])).unwrap();
@@ -1073,7 +1041,6 @@ mod tests {
         let cfg = ServeConfig::default()
             .max_batch(1000)
             .max_wait(Duration::from_secs(60))
-            .no_deadline()
             .queue_cap(100)
             .shed_threshold(2);
         let server = Server::new(model, params, vec![6], cfg);
@@ -1097,11 +1064,9 @@ mod tests {
         let cfg = ServeConfig::default()
             .max_batch(1000)
             .max_wait(Duration::from_secs(60))
-            .no_deadline();
+            .deadline(Duration::from_millis(5));
         let server = Server::new(model, params, vec![6], cfg);
-        let pending = server
-            .submit_with_deadline(Tensor::zeros(&[6]), Some(Duration::from_millis(5)))
-            .unwrap();
+        let pending = server.submit(Tensor::zeros(&[6])).unwrap();
         assert_eq!(pending.wait().unwrap_err(), ServeError::DeadlineExceeded);
         let stats = server.shutdown();
         assert_eq!(stats.expired, 1);

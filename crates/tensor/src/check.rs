@@ -114,18 +114,6 @@ pub fn cases(n: usize, mut property: impl FnMut(&mut Gen)) {
     }
 }
 
-/// Asserts two scalars agree within `tol`, with a readable message.
-///
-/// # Panics
-///
-/// Panics when `|a - b| > tol` or either value is non-finite.
-pub fn assert_close(a: f32, b: f32, tol: f32) {
-    assert!(
-        a.is_finite() && b.is_finite() && (a - b).abs() <= tol,
-        "values differ: {a} vs {b} (tol {tol})"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

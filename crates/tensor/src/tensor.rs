@@ -443,15 +443,6 @@ impl Tensor {
         self.zip_assign(other, |a, b| a + b);
     }
 
-    /// In-place `self -= other` (shapes must match exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        self.zip_assign(other, |a, b| a - b);
-    }
-
     /// In-place `self += alpha * other` (shapes must match exactly).
     ///
     /// This is the optimizer hot path (`w -= lr * g` etc.).
@@ -592,16 +583,6 @@ impl Tensor {
             shape: out_shape,
             data,
         }
-    }
-
-    /// Means along `axis`, removing that dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.dim(axis) as f32;
-        self.sum_axis(axis).scale(1.0 / n)
     }
 
     /// Sum-reduces this tensor back to `target` — the adjoint of
@@ -842,16 +823,6 @@ impl Tensor {
             shape: Shape::new(dims),
             data,
         }
-    }
-
-    /// Copies row `i` (axis 0) as a tensor with the batch dimension kept
-    /// (`[1, ...]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn row(&self, i: usize) -> Tensor {
-        self.slice_rows(i, i + 1)
     }
 
     // ---------------------------------------------------------------------
@@ -1169,7 +1140,7 @@ mod tests {
         let cat = Tensor::concat_rows(&[&top, &a]);
         assert_eq!(cat.dim(0), 3);
         assert_eq!(cat.as_slice(), &[1., 2., 3., 1., 2., 3., 4., 5., 6.]);
-        assert_eq!(a.row(1).as_slice(), &[4., 5., 6.]);
+        assert_eq!(a.slice_rows(1, 2).as_slice(), &[4., 5., 6.]);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! valid pixel range (the paper's `F` projection) — including on RGB
 //! conv inputs where broadcasting bugs would hide.
 
-use zk_gandef_repro::attack::{
-    Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Mim, Pgd,
-};
+use zk_gandef_repro::attack::{Attack, AttackBudget, Bim, CarliniWagner, DeepFool, Fgsm, Mim, Pgd};
 use zk_gandef_repro::data::{generate, DatasetKind, GenSpec};
 use zk_gandef_repro::defense::classifier_for;
 use zk_gandef_repro::tensor::rng::Prng;

@@ -208,8 +208,21 @@ fn hot_reload_never_serves_a_torn_snapshot() {
         before.as_slice()
     );
 
-    // Fresh compatible weights: swapped in whole, outputs change.
+    // Compatible weights in the retired version-1 layout, which carried
+    // no checksums: refused like a torn file.
     let params_b = init_params(29);
+    std::fs::write(&ckpt, v1_bytes(&params_b)).unwrap();
+    wait_for(
+        &|| server.stats().rejected_reloads >= 3,
+        "version-1 rejection",
+    );
+    assert_eq!(server.stats().reloads, 0);
+    assert_eq!(
+        server.classify(x.clone()).unwrap().as_slice(),
+        before.as_slice()
+    );
+
+    // The same weights, saved verified: swapped in whole, outputs change.
     save_params(&params_b, &ckpt).unwrap();
     wait_for(&|| server.stats().reloads >= 1, "verified reload");
     let after = server.classify(x.clone()).unwrap();
@@ -223,6 +236,31 @@ fn hot_reload_never_serves_a_torn_snapshot() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `params` in the retired GNDF version-1 layout: magic, version 1, the
+/// entry count, then each entry's name and tensor exactly as version 2
+/// writes them, but without the entry checksums and the file checksum.
+fn v1_bytes(params: &Params) -> Vec<u8> {
+    fn put(out: &mut Vec<u8>, v: usize) {
+        out.extend_from_slice(&u32::try_from(v).unwrap().to_le_bytes());
+    }
+    let mut out = b"GNDF".to_vec();
+    put(&mut out, 1);
+    put(&mut out, params.len());
+    for (name, t) in params.iter() {
+        put(&mut out, name.len());
+        out.extend_from_slice(name.as_bytes());
+        put(&mut out, t.shape().dims().len());
+        for &d in t.shape().dims() {
+            put(&mut out, d);
+        }
+        put(&mut out, t.numel());
+        for v in t.as_slice() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
 }
 
 /// Contract 3: shutdown stops *accepting* but never drops accepted work —
