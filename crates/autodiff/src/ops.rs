@@ -530,8 +530,6 @@ fn softmax_cross_entropy_f64(logits: &Tensor, targets: &Tensor) -> f32 {
             total -= tv as f64 * (zv as f64 - m - logsum);
         }
     }
-    // lint:allow(cast) — the whole point of this fn is one terminal f64→f32
-    // rounding of the batch mean; see the doc comment above.
     (total / n as f64) as f32
 }
 

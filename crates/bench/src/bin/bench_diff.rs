@@ -15,9 +15,12 @@
 //! falls below `MIN_RATIO` × the baseline throughput, or if a
 //! `--require`d kernel was not actually compared (missing from either
 //! side, or throughput-less) — so silently dropping a gated kernel from the
-//! bench run fails CI instead of weakening the gate.
+//! bench run fails CI instead of weakening the gate. A closed stdout
+//! (`bench_diff … | head -1`) ends the table, not the run: the exit code
+//! is still the gate's verdict.
 
 use gandef_bench::microbench::{self, Measurement};
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Fresh/baseline throughput ratio below which the gate fails. 0.3
@@ -65,8 +68,8 @@ fn main() -> ExitCode {
     let baseline = load(&baseline_path);
     let fresh = load(&fresh_path);
 
-    println!(
-        "{:<18} {:>12} {:>12} {:>8}  verdict",
+    let mut table = format!(
+        "{:<18} {:>12} {:>12} {:>8}  verdict\n",
         "kernel", "base GF/s", "fresh GF/s", "ratio"
     );
     let mut failed = false;
@@ -74,15 +77,15 @@ fn main() -> ExitCode {
     let mut compared_names: Vec<&str> = Vec::new();
     for f in &fresh {
         let Some(b) = baseline.iter().find(|b| b.name == f.name) else {
-            println!(
-                "{:<18} {:>12} {:>12} {:>8}  new (no baseline)",
+            table += &format!(
+                "{:<18} {:>12} {:>12} {:>8}  new (no baseline)\n",
                 f.name, "-", "-", "-"
             );
             continue;
         };
         if b.gflops <= 0.0 || f.gflops <= 0.0 {
-            println!(
-                "{:<18} {:>12.2} {:>12.2} {:>8}  skipped (no FLOP count)",
+            table += &format!(
+                "{:<18} {:>12.2} {:>12.2} {:>8}  skipped (no FLOP count)\n",
                 f.name, b.gflops, f.gflops, "-"
             );
             continue;
@@ -92,14 +95,17 @@ fn main() -> ExitCode {
         let ratio = f.gflops / b.gflops;
         let ok = ratio >= MIN_RATIO;
         failed |= !ok;
-        println!(
-            "{:<18} {:>12.2} {:>12.2} {:>8.2}  {}",
+        table += &format!(
+            "{:<18} {:>12.2} {:>12.2} {:>8.2}  {}\n",
             f.name,
             b.gflops,
             f.gflops,
             ratio,
             if ok { "ok" } else { "REGRESSION" }
         );
+    }
+    if let Err(code) = emit(&table) {
+        return code;
     }
     if compared == 0 {
         eprintln!("bench_diff: no kernels matched between {baseline_path} and {fresh_path}");
@@ -120,6 +126,24 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("bench_diff: {compared} kernels within {MIN_RATIO}x of {baseline_path}");
-    ExitCode::SUCCESS
+    match emit(&format!(
+        "bench_diff: {compared} kernels within {MIN_RATIO}x of {baseline_path}\n"
+    )) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+/// Writes `text` to stdout. A reader that closed the pipe early (`| head`)
+/// gets EPIPE, which ends the output and leaves the exit code to the
+/// gate's verdict; any other write failure is an I/O error (exit 2).
+fn emit(text: &str) -> Result<(), ExitCode> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("bench_diff: error: writing stdout: {e}");
+            Err(ExitCode::from(2))
+        }
+        _ => Ok(()),
+    }
 }

@@ -1,9 +1,10 @@
-//! Seeded fixture for the token rules: exactly one violation of each of
-//! `safety`, `panic`, `bounds`, `knob` and `spawn`, and none of the other
-//! eight rules. With the three other `seeded_*.rs` fixtures it trips each
-//! of the thirteen rules exactly once, which the lint self-test
-//! (`crates/lint/tests/selftest.rs`) checks. This file is never compiled
-//! — it lives outside `src/` and `tests/` on purpose.
+//! Seeded fixture for the single-file rules: exactly one violation of
+//! each of `safety`, `panic`, `bounds`, `knob`, `spawn` and `alloc`, and
+//! none of the other five rules. With the two other `seeded_*.rs`
+//! fixtures it trips each of the eleven rules exactly once, which the
+//! lint self-test (`crates/lint/tests/selftest.rs`) checks. Fixture paths
+//! count as hot-path scope, so `alloc` can fire here. This file is never
+//! compiled — it lives outside `src/` and `tests/` on purpose.
 
 /// Rule `safety`: an `unsafe` block with no SAFETY comment above it.
 pub fn seeded_safety(p: *const u8) -> u8 {
@@ -34,4 +35,14 @@ pub fn seeded_spawn() {
     // lint:allow(errprop) — this fixture seeds rule `spawn` only; the
     // join result of the just-spawned no-op thread carries no error.
     let _ = t.join();
+}
+
+/// Rule `alloc`: a per-iteration heap allocation inside a loop body.
+pub fn seeded_alloc(n: usize, s: &[f32]) -> f32 {
+    let mut total = 0.0;
+    for _ in 0..n {
+        let copy = s.to_vec();
+        total += copy[0];
+    }
+    total
 }

@@ -1,7 +1,7 @@
 //! Seeded fixture for the concurrency rules: exactly one violation of
-//! each of `shared`, `atomics` and `sync`, and none of the other ten
+//! each of `shared`, `atomics` and `sync`, and none of the other eight
 //! rules. Linted (never compiled) by the lint self-test alongside
-//! `seeded.rs`, `seeded_semantic.rs` and `seeded_determinism.rs`.
+//! `seeded.rs` and `seeded_determinism.rs`.
 
 /// Rule `shared`: a `static mut` — always a violation, even documented.
 pub static mut SEEDED_SHARED: usize = 0;

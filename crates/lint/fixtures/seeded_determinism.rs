@@ -1,7 +1,7 @@
 //! Seeded fixture for the determinism rules: exactly one violation of
-//! each of `nondet` and `errprop`, and none of the other eleven rules.
-//! Linted (never compiled) by the lint self-test alongside `seeded.rs`,
-//! `seeded_semantic.rs` and `seeded_concurrency.rs`.
+//! each of `nondet` and `errprop`, and none of the other nine rules.
+//! Linted (never compiled) by the lint self-test alongside `seeded.rs`
+//! and `seeded_concurrency.rs`.
 
 /// Rule `nondet`: a wall-clock read feeding a returned value in a
 /// numeric path (fixtures count as numeric-path scope).

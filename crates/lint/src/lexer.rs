@@ -66,6 +66,47 @@ impl Token {
     }
 }
 
+/// Rust keywords that look like a call or a receiver when followed by
+/// `(` (`if (…)`, `match (…)`), so a rule must not count them as calls.
+pub(crate) fn is_keyword(s: &str) -> bool {
+    matches!(
+        s,
+        "as" | "async"
+            | "await"
+            | "break"
+            | "const"
+            | "continue"
+            | "crate"
+            | "dyn"
+            | "else"
+            | "enum"
+            | "extern"
+            | "fn"
+            | "for"
+            | "if"
+            | "impl"
+            | "in"
+            | "let"
+            | "loop"
+            | "match"
+            | "mod"
+            | "move"
+            | "mut"
+            | "pub"
+            | "ref"
+            | "return"
+            | "static"
+            | "struct"
+            | "super"
+            | "trait"
+            | "type"
+            | "unsafe"
+            | "use"
+            | "where"
+            | "while"
+    )
+}
+
 /// Lexes `src` into a token stream, comments included.
 ///
 /// The lexer never fails: unrecognized bytes become punctuation tokens,
@@ -478,7 +519,7 @@ mod tests {
 
     #[test]
     fn shifted_generic_closers_stay_single_puncts() {
-        // `Vec<Vec<f32>>` must not fuse `>>` — the parser layer matches
+        // `Vec<Vec<f32>>` must not fuse `>>` — the rules match
         // single-character closers.
         let toks = lex("let v: Vec<Vec<f32>> = Vec::new();");
         let closers = toks.iter().filter(|t| t.is_punct('>')).count();

@@ -4,10 +4,9 @@
 //! `Cargo.toml`), which rules out clippy lints-with-config, Miri-in-CI and
 //! third-party lint frameworks as enforcement mechanisms for our own
 //! invariants. This crate is the in-repo replacement: a small hand-rolled
-//! Rust tokenizer ([`lexer`]), a structural item/call parser ([`parser`])
-//! and thirteen named rules ([`rules`]) that encode the repo's
-//! unsafe-surface, robustness, hot-path, concurrency and determinism
-//! policy:
+//! Rust tokenizer ([`lexer`]) and eleven named rules over its tokens
+//! ([`rules`]) that encode the repo's unsafe-surface, robustness,
+//! hot-path, concurrency and determinism policy:
 //!
 //! 1. **safety** — every `unsafe` site carries a `// SAFETY:` comment;
 //! 2. **panic** — no `unwrap()/expect(/panic!` in library code;
@@ -15,15 +14,13 @@
 //! 4. **knob** — `GANDEF_*` env reads match the `docs/KNOBS.md` registry;
 //! 5. **spawn** — all parallelism goes through `gandef_tensor::pool`;
 //! 6. **alloc** — no heap allocation inside hot-path loop bodies;
-//! 7. **cast** — lossy numeric casts in kernels are guarded or annotated;
-//! 8. **shape** — public tensor fns assert shapes before indexing;
-//! 9. **shared** — no `static mut`; shared-state slots carry comments;
-//! 10. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
-//!     their partner site;
-//! 11. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
-//! 12. **nondet** — no nondeterminism sources (map iteration, wall
+//! 7. **shared** — no `static mut`; shared-state slots carry comments;
+//! 8. **atomics** — `Relaxed` is annotated, `Acquire`/`Release` name
+//!    their partner site;
+//! 9. **sync** — `unsafe impl Send/Sync` cites the fields it covers;
+//! 10. **nondet** — no nondeterminism sources (hash containers, wall
 //!     clock, non-`Prng` RNG) in numeric paths;
-//! 13. **errprop** — no silently dropped `Result` in library code.
+//! 11. **errprop** — no silently dropped `Result` in library code.
 //!
 //! Run as `gandef-lint` (no arguments) from the workspace root;
 //! see `docs/LINT.md` for the rule reference and `tests/selftest.rs` for
@@ -31,24 +28,20 @@
 //! rule.
 
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 
-use rules::{check_file, FileReport, KnobRead, ParseError, Rule, Violation};
+use rules::{check_file, KnobRead, ParseError, Rule, Violation};
 use std::collections::BTreeMap;
 use std::io;
 use std::os::raw::{c_int, c_long};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// What to lint and against which knob registry.
+/// What to lint.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Workspace root (defaults to `.`). Source discovery and the default
-    /// registry path are relative to this.
+    /// Workspace root. Source discovery and the knob registry
+    /// (`<root>/docs/KNOBS.md`) are relative to this.
     pub root: PathBuf,
-    /// Knob registry path; `None` means `<root>/docs/KNOBS.md`.
-    pub knobs: Option<PathBuf>,
     /// Explicit files to lint instead of walking the workspace. In this
     /// mode the stale-registry-entry direction of the `knob` rule is
     /// skipped (a file subset never reads every knob).
@@ -60,7 +53,6 @@ impl Config {
     pub fn workspace(root: impl Into<PathBuf>) -> Self {
         Config {
             root: root.into(),
-            knobs: None,
             files: Vec::new(),
         }
     }
@@ -77,7 +69,7 @@ pub struct Outcome {
     /// the structural analysis (and thus every rule verdict) is suspect
     /// for those files; the CLI exits 2 instead of 1.
     pub parse_errors: Vec<ParseError>,
-    /// Per-file CPU time of the worker thread that checked the file, in
+    /// Per-file CPU time of the thread that checked the file, in
     /// milliseconds, in file order (for `--timings` and `--budget`).
     pub timings: Vec<(String, f64)>,
 }
@@ -91,21 +83,23 @@ pub fn run(cfg: &Config) -> io::Result<Outcome> {
     } else {
         workspace_sources(&cfg.root)?
     };
-    let knobs_path = cfg
-        .knobs
-        .clone()
-        .unwrap_or_else(|| cfg.root.join("docs/KNOBS.md"));
+    let knobs_path = cfg.root.join("docs/KNOBS.md");
     let registry = read_registry(&knobs_path);
 
     let mut violations = Vec::new();
     let mut parse_errors = Vec::new();
     let mut reads: Vec<KnobRead> = Vec::new();
     let mut timings = Vec::with_capacity(files.len());
-    for (display, report, ms) in check_files_parallel(&files, &cfg.root)? {
+    for path in &files {
+        let started = thread_cpu_ms();
+        let display = display_path(path, &cfg.root);
+        let src = std::fs::read_to_string(path)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        let report = check_file(&display, &src, is_lib_code(&display));
+        timings.push((display, thread_cpu_ms() - started));
         violations.extend(report.violations);
         parse_errors.extend(report.parse_error);
         reads.extend(report.knob_reads);
-        timings.push((display, ms));
     }
 
     // Rule `knob`, read direction: every GANDEF_* env read must be a
@@ -155,80 +149,6 @@ pub fn run(cfg: &Config) -> io::Result<Outcome> {
     })
 }
 
-/// Lints `files` across a bounded scoped worker team, returning per-file
-/// reports **in input order** (parallelism must not perturb diagnostics).
-/// Workers claim files from a shared atomic cursor, so one pathological
-/// file cannot serialize the rest of its chunk.
-fn check_files_parallel(
-    files: &[PathBuf],
-    root: &Path,
-) -> io::Result<Vec<(String, FileReport, f64)>> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(files.len())
-        .max(1);
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, io::Result<(String, FileReport, f64)>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    // lint:allow(spawn) — the lint binary cannot depend on
-                    // gandef-tensor's pool (it lints that crate); this is
-                    // a bounded, scoped, joined-on-exit worker team.
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            // lint:allow(atomics) — work-stealing ticket
-                            // counter; each worker only needs a unique
-                            // index, not ordering against other memory.
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= files.len() {
-                                break;
-                            }
-                            let started = thread_cpu_ms();
-                            let display = display_path(&files[i], root);
-                            let result = std::fs::read_to_string(&files[i]).map(|src| {
-                                let report = check_file(&display, &src, is_lib_code(&display));
-                                let ms = thread_cpu_ms() - started;
-                                (display.clone(), report, ms)
-                            });
-                            local.push((i, result));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-    let mut slots: Vec<Option<io::Result<(String, FileReport, f64)>>> = Vec::new();
-    slots.resize_with(files.len(), || None);
-    for (i, result) in per_worker.into_iter().flatten() {
-        slots[i] = Some(result);
-    }
-    let mut out = Vec::with_capacity(files.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(item)) => out.push(item),
-            Some(Err(e)) => {
-                return Err(io::Error::new(
-                    e.kind(),
-                    format!("{}: {e}", files[i].display()),
-                ))
-            }
-            // Only a panicking worker leaves a hole — surface it as an
-            // I/O error instead of reporting a silently partial lint.
-            None => {
-                return Err(io::Error::other(format!(
-                    "lint worker died before checking {}",
-                    files[i].display()
-                )))
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// `struct timespec` of 64-bit Linux, where `time_t` is a `long`.
 #[repr(C)]
 struct Timespec {
@@ -258,72 +178,6 @@ fn thread_cpu_ms() -> f64 {
     } else {
         f64::NAN
     }
-}
-
-/// Renders an [`Outcome`] as machine-readable JSON (for `--format=json`):
-/// one object with `files_checked`, a `parse_errors` array (`file`,
-/// `line`, `col`, `message`) and a `violations` array carrying `file`,
-/// `line`, `col`, `rule`, `message` and an `allow_hint` showing the
-/// suppression comment that would silence the site.
-pub fn render_json(outcome: &Outcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"files_checked\": {},\n  \"parse_errors\": [",
-        outcome.files_checked
-    ));
-    for (i, e) in outcome.parse_errors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
-            json_escape(&e.file),
-            e.line,
-            e.col,
-            json_escape(&e.message)
-        ));
-    }
-    if !outcome.parse_errors.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"violations\": [");
-    for (i, v) in outcome.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-             \"message\": \"{}\", \"allow_hint\": \"// lint:allow({}) — <reason>\"}}",
-            json_escape(&v.file),
-            v.line,
-            v.col,
-            v.rule.name(),
-            json_escape(&v.message),
-            v.rule.name()
-        ));
-    }
-    if !outcome.violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Escapes a string for inclusion in a JSON double-quoted literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// True if `path` is library code for the `panic` rule: not under
@@ -445,43 +299,5 @@ mod tests {
     fn bare_gandef_prefix_is_not_a_knob() {
         let reg = parse_registry("| `GANDEF_` | broken row |\n");
         assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_backslashes_per_rfc8259() {
-        // A Windows-style path and a message quoting source text are the
-        // realistic carriers of `\` and `"` into the JSON report.
-        let outcome = Outcome {
-            files_checked: 1,
-            violations: vec![rules::Violation {
-                file: r"crates\lint\src\lib.rs".to_string(),
-                line: 3,
-                col: 7,
-                rule: rules::Rule::Nondet,
-                message: "`==` on `\"x\"` operand\twith\ntab and newline".to_string(),
-            }],
-            parse_errors: vec![rules::ParseError {
-                file: r"bad\file.rs".to_string(),
-                line: 1,
-                col: 1,
-                message: "mismatched `\"` delimiter".to_string(),
-            }],
-            timings: vec![],
-        };
-        let json = render_json(&outcome);
-        assert!(
-            json.contains(r#""file": "crates\\lint\\src\\lib.rs""#),
-            "{json}"
-        );
-        assert!(
-            json.contains(r#"`==` on `\"x\"` operand\twith\ntab and newline"#),
-            "{json}"
-        );
-        assert!(json.contains(r#"mismatched `\"` delimiter"#), "{json}");
-        // Nothing raw survives: inside every string literal a `"` is
-        // always preceded by a backslash and real control chars are gone.
-        assert!(!json.contains('\t'), "raw tab leaked into JSON");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
     }
 }

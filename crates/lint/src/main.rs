@@ -5,12 +5,9 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: gandef-lint [--root DIR] [--knobs FILE] [--format text|json]\n\
-                    \x20                  [--timings] [--budget FILE] [FILES...]\n\
+const USAGE: &str = "usage: gandef-lint [--timings] [--budget FILE] [FILES...]\n\
   With no FILES, walks every `src/`, `tests/` and `examples/` tree of the\n\
-  workspace under --root (default `.`).\n\
-  --format json       machine-readable report on stdout (violations with\n\
-                      file/line/col plus a parse_errors array)\n\
+  workspace rooted at the current directory.\n\
   --timings           per-file CPU time (the checking thread's clock) on\n\
                       stderr, slowest first\n\
   --budget FILE       read a baseline total CPU time (milliseconds) from\n\
@@ -20,43 +17,19 @@ const USAGE: &str = "usage: gandef-lint [--root DIR] [--knobs FILE] [--format te
   usage/I-O error. A closed stdout ends the output, not the run: the\n\
   exit code is still the verdict.";
 
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() -> ExitCode {
     let mut cfg = gandef_lint::Config::workspace(".");
-    let mut format = Format::Text;
     let mut timings = false;
     let mut budget: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => match args.next() {
-                Some(dir) => cfg.root = PathBuf::from(dir),
-                None => return usage_error("--root requires a directory"),
-            },
-            "--knobs" => match args.next() {
-                Some(file) => cfg.knobs = Some(PathBuf::from(file)),
-                None => return usage_error("--knobs requires a file"),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some(other) => {
-                    return usage_error(&format!("unknown format `{other}` (text|json)"))
-                }
-                None => return usage_error("--format requires text|json"),
-            },
-            "--format=text" => format = Format::Text,
-            "--format=json" => format = Format::Json,
             "--timings" => timings = true,
             "--budget" => match args.next() {
                 Some(file) => budget = Some(PathBuf::from(file)),
                 None => return usage_error("--budget requires a baseline file"),
             },
-            "-h" | "--help" => {
+            "-h" => {
                 return match emit(&format!("{USAGE}\n")) {
                     Ok(()) => ExitCode::SUCCESS,
                     Err(code) => code,
@@ -108,31 +81,26 @@ fn main() -> ExitCode {
                 }
                 over
             });
-            let clean = outcome.violations.is_empty() && outcome.parse_errors.is_empty();
-            let printed = match format {
-                Format::Json => emit(&gandef_lint::render_json(&outcome)),
-                Format::Text if clean => emit(&format!(
+            if outcome.violations.is_empty() && outcome.parse_errors.is_empty() {
+                if let Err(code) = emit(&format!(
                     "gandef-lint: OK — {} files, 0 violations\n",
                     outcome.files_checked
-                )),
-                Format::Text => {
-                    for e in &outcome.parse_errors {
-                        eprintln!("{e}");
-                    }
-                    for v in &outcome.violations {
-                        eprintln!("{v}");
-                    }
-                    eprintln!(
-                        "gandef-lint: {} violation(s), {} parse error(s) in {} file(s) checked",
-                        outcome.violations.len(),
-                        outcome.parse_errors.len(),
-                        outcome.files_checked
-                    );
-                    Ok(())
+                )) {
+                    return code;
                 }
-            };
-            if let Err(code) = printed {
-                return code;
+            } else {
+                for e in &outcome.parse_errors {
+                    eprintln!("{e}");
+                }
+                for v in &outcome.violations {
+                    eprintln!("{v}");
+                }
+                eprintln!(
+                    "gandef-lint: {} violation(s), {} parse error(s) in {} file(s) checked",
+                    outcome.violations.len(),
+                    outcome.parse_errors.len(),
+                    outcome.files_checked
+                );
             }
             // Parse errors take precedence: a structurally broken file
             // means every rule verdict for it is suspect.

@@ -16,7 +16,7 @@
 //!   parsed from the same file (or `T` itself when `T` has no named
 //!   fields), so the soundness argument names the state it covers.
 
-use super::{FileCtx, FileReport, Rule, Violation};
+use super::{is_fixture, FileCtx, FileReport, Rule, Violation};
 use crate::lexer::{TokKind, Token};
 use std::collections::HashMap;
 
@@ -44,7 +44,7 @@ const SYNC_TYPES: &[&str] = &[
 /// Runs the per-file concurrency rules. Library code and the seeded
 /// fixtures only; `#[cfg(test)]` spans are exempt.
 pub(super) fn check(ctx: &FileCtx<'_>, report: &mut FileReport) {
-    if !(ctx.is_lib || super::semantic::is_fixture(ctx.file)) {
+    if !(ctx.is_lib || is_fixture(ctx.file)) {
         return;
     }
     let c = Conc { ctx };

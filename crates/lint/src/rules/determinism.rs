@@ -9,32 +9,32 @@
 //! `numerics_audit --oracle` diff.
 //!
 //! * `nondet` — nondeterminism sources in numeric-path crates
-//!   (`tensor`, `autodiff`, `attack`, `defense`): `HashMap`/`HashSet`
-//!   iteration, `SystemTime::now`/`Instant::now` wall-clock reads,
+//!   (`tensor`, `autodiff`, `attack`, `defense`): any `HashMap`/`HashSet`
+//!   (its iteration order is seeded per process, and a token rule cannot
+//!   tell iteration from lookup), `SystemTime::now`/`Instant::now`
+//!   wall-clock reads,
 //!   thread-id arithmetic, and any RNG that is not a seeded `Prng`
 //!   stream. Telemetry/bench code escapes with `lint:allow(nondet)`.
 //! * `errprop` — a `Result` discarded via `let _ = …;` or a
 //!   statement-position `.ok();` in library code. Checkpoint rotation
 //!   and serve hot-reload I/O must propagate, count, or justify.
 
-use super::{FileCtx, FileReport, Rule, Violation};
-use crate::lexer::{TokKind, Token};
-use crate::parser::{FnDef, Parsed};
+use super::{is_fixture, FileCtx, FileReport, Rule, Violation};
+use crate::lexer::{is_keyword, TokKind, Token};
 
 /// Runs the determinism rules. Library code and the seeded fixtures
 /// only; `#[cfg(test)]` spans are exempt.
-pub(super) fn check(ctx: &FileCtx<'_>, parsed: &Parsed, report: &mut FileReport) {
-    if !(ctx.is_lib || super::semantic::is_fixture(ctx.file)) {
+pub(super) fn check(ctx: &FileCtx<'_>, report: &mut FileReport) {
+    if !(ctx.is_lib || is_fixture(ctx.file)) {
         return;
     }
-    let d = Det { ctx, parsed };
+    let d = Det { ctx };
     d.rule_nondet(report);
     d.rule_errprop(report);
 }
 
 struct Det<'a, 'b> {
     ctx: &'a FileCtx<'b>,
-    parsed: &'a Parsed,
 }
 
 impl Det<'_, '_> {
@@ -56,30 +56,6 @@ impl Det<'_, '_> {
         });
     }
 
-    /// The innermost parsed fn whose body span contains code-index `p`.
-    fn enclosing_fn_def(&self, p: usize) -> Option<&FnDef> {
-        self.parsed
-            .fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| s <= p && p <= e))
-            .min_by_key(|f| {
-                let (s, e) = f.body.unwrap_or((0, usize::MAX));
-                e - s
-            })
-    }
-
-    /// Flattened type of `name` in the fn enclosing code-index `p`:
-    /// `let` bindings first (inner shadows param), then parameters.
-    fn ty_of(&self, p: usize, name: &str) -> Option<String> {
-        let f = self.enclosing_fn_def(p)?;
-        f.lets
-            .iter()
-            .rev()
-            .chain(f.params.iter())
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t.clone())
-    }
-
     // ------------------------------------------------------------------
     // Rule: nondet
     // ------------------------------------------------------------------
@@ -91,7 +67,7 @@ impl Det<'_, '_> {
             || f.contains("autodiff/src/")
             || f.contains("attack")
             || f.contains("defense")
-            || super::semantic::is_fixture(f)
+            || is_fixture(f)
     }
 
     fn rule_nondet(&self, report: &mut FileReport) {
@@ -123,8 +99,6 @@ impl Det<'_, '_> {
     }
 
     /// Classifies the code token at `p` as a nondeterminism source.
-    /// Hash-container receivers are typed from the `let`s and params of
-    /// the enclosing fn.
     fn nondet_source(&self, p: usize) -> Option<String> {
         let n = self.n_code();
         let t = self.ct(p);
@@ -156,47 +130,11 @@ impl Det<'_, '_> {
                 t.text
             ));
         }
-        // Iteration over a hash container: `map.iter()`-style method
-        // calls, and `for k in &map` loops.
-        let hash_typed = |name: &str, at: usize| {
-            self.ty_of(at, name)
-                .is_some_and(|t| t.contains("HashMap") || t.contains("HashSet"))
-        };
-        let iter_method = matches!(
-            t.text.as_str(),
-            "iter" | "iter_mut" | "into_iter" | "keys" | "values" | "values_mut" | "drain"
-        );
-        if iter_method
-            && p >= 2
-            && self.ct(p - 1).is_punct('.')
-            && self.ct(p - 2).kind == TokKind::Ident
-            && p + 1 < n
-            && self.ct(p + 1).is_punct('(')
-            && hash_typed(&self.ct(p - 2).text, p)
-        {
+        if matches!(t.text.as_str(), "HashMap" | "HashSet") {
             return Some(format!(
-                "`{}.{}()` — hash-container iteration order is seed-dependent",
-                self.ct(p - 2).text,
+                "`{}` — hash-container iteration order is seeded per process",
                 t.text
             ));
-        }
-        if t.is_ident("in") && p + 1 < n {
-            let mut q = p + 1;
-            while q < n && (self.ct(q).is_punct('&') || self.ct(q).is_ident("mut")) {
-                q += 1;
-            }
-            // Only the bare `for x in map {` / `for x in &map {` form —
-            // `map.iter()`-style receivers are the method check's job.
-            if q < n
-                && self.ct(q).kind == TokKind::Ident
-                && (q + 1 >= n || self.ct(q + 1).is_punct('{'))
-                && hash_typed(&self.ct(q).text, q)
-            {
-                return Some(format!(
-                    "`for … in {}` — hash-container iteration order is seed-dependent",
-                    self.ct(q).text
-                ));
-            }
         }
         None
     }
@@ -275,7 +213,7 @@ impl Det<'_, '_> {
                 TokKind::Ident => {
                     if q + 1 < self.n_code()
                         && (self.ct(q + 1).is_punct('(') || self.ct(q + 1).is_punct('!'))
-                        && !crate::parser::is_keyword(&t.text)
+                        && !is_keyword(&t.text)
                     {
                         return true;
                     }
@@ -337,10 +275,17 @@ mod tests {
 
     #[test]
     fn hashmap_iteration_fires() {
+        // Every `HashMap` token fires, the import included: the rule
+        // cannot see which binding is iterated.
         let src = "use std::collections::HashMap;\nfn f(m: HashMap<String, f32>) -> f32 {\n    let mut s = 0.0;\n    for v in m.values() { s += v; }\n    s\n}";
         let v = fired("crates/attack/src/x.rs", src, Rule::Nondet);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![1, 2], "{v:?}");
+        assert!(v[0].message.starts_with("`HashMap`"), "{v:?}");
+        // A keyed lookup outside `#[cfg(test)]` fires too.
+        let src = "fn f(m: &std::collections::HashMap<u32, f32>) -> f32 {\n    m[&0]\n}";
+        let v = fired("crates/attack/src/x.rs", src, Rule::Nondet);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("values"), "{v:?}");
     }
 
     #[test]
@@ -353,7 +298,8 @@ mod tests {
     fn for_in_hashset_fires() {
         let src = "use std::collections::HashSet;\nfn f(m: HashSet<u32>) -> u32 {\n    let mut s = 0;\n    for v in &m { s += v; }\n    s\n}";
         let v = fired("crates/attack/src/x.rs", src, Rule::Nondet);
-        assert_eq!(v.len(), 1, "{v:?}");
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![1, 2], "{v:?}");
     }
 
     #[test]
@@ -374,6 +320,8 @@ mod tests {
         let src =
             "#[cfg(test)]\nmod tests {\n    fn bench() { let t = std::time::Instant::now(); }\n}";
         assert!(fired("crates/tensor/src/x.rs", src, Rule::Nondet).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    fn t(m: &HashMap<u32, f32>) -> f32 { m[&0] }\n}";
+        assert!(fired("crates/attack/src/x.rs", src, Rule::Nondet).is_empty());
     }
 
     // ---- errprop ----

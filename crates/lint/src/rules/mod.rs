@@ -12,12 +12,12 @@
 //! itself rejected. The rules (see `docs/KNOBS.md` and DESIGN.md "Static
 //! analysis & unsafe audit" for the policy rationale):
 //!
-//! The token-stream rules live in this module; the parse-tree rules
-//! (`alloc`, `cast`, `shape`) live in [`semantic`] and run over
-//! [`crate::parser`]'s output; the concurrency rules (`shared`,
-//! `atomics`, `sync`) live in [`concurrency`]; the determinism rules
-//! (`nondet`, `errprop`) live in [`determinism`]. See `docs/LINT.md` for
-//! the full reference.
+//! Every rule reads the lexer's token stream; none needs a parse tree.
+//! The rules over single files (`safety`, `panic`, `bounds`, `knob`,
+//! `spawn`, `alloc`) live in this module; the concurrency rules
+//! (`shared`, `atomics`, `sync`) live in [`concurrency`]; the determinism
+//! rules (`nondet`, `errprop`) live in [`determinism`]. See
+//! `docs/LINT.md` for the full reference.
 //!
 //! | rule        | invariant |
 //! |-------------|-----------|
@@ -27,17 +27,14 @@
 //! | `knob`      | every `std::env::var("GANDEF_*")` read is declared in the `docs/KNOBS.md` registry (and every registry row is read somewhere) |
 //! | `spawn`     | no `thread::spawn` / `Builder::spawn` outside `pool.rs` — all parallelism goes through the worker pool |
 //! | `alloc`     | no `Vec::new` / `vec!` / `.to_vec()` / `.collect()` / `.clone()` inside loop bodies of hot-path modules |
-//! | `cast`      | lossy casts (f64→f32, u64/i64→usize/i32) in kernel fns need a `debug_assert!`/`try_from` guard or an annotation |
-//! | `shape`     | public `Tensor`-returning fns in `gandef-tensor` state a shape `assert!` before their first index expression |
 //! | `shared`    | no `static mut`; every sync-typed `static` / `thread_local!` slot carries a describing comment |
 //! | `atomics`   | `Ordering::Relaxed`/`SeqCst` need a `lint:allow(atomics)` reason; Acquire/Release/AcqRel sites name their partner via a `pairs with` comment |
 //! | `sync`      | each `unsafe impl Send/Sync` cites the field(s) of the parsed struct that make it sound |
-//! | `nondet`    | no nondeterminism sources (`HashMap`/`HashSet` iteration, wall-clock values, thread-id arithmetic, non-`Prng` RNG) in `tensor`/`autodiff`/`attack`/`defense` numeric paths |
+//! | `nondet`    | no nondeterminism sources (`HashMap`/`HashSet`, wall-clock values, thread-id arithmetic, non-`Prng` RNG) in `tensor`/`autodiff`/`attack`/`defense` numeric paths |
 //! | `errprop`   | no `Result` silently discarded (`let _ =`, statement-position `.ok()`) in library code without a justification |
 
 pub mod concurrency;
 pub mod determinism;
-pub mod semantic;
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -56,10 +53,6 @@ pub enum Rule {
     Spawn,
     /// Heap allocation inside a hot-path loop body.
     Alloc,
-    /// Unguarded lossy numeric cast in a kernel fn.
-    Cast,
-    /// Public tensor fn indexing before any shape assertion.
-    Shape,
     /// `static mut`, or an undocumented shared-state slot.
     Shared,
     /// Atomic memory ordering without its required justification.
@@ -82,8 +75,6 @@ impl Rule {
             Rule::Knob => "knob",
             Rule::Spawn => "spawn",
             Rule::Alloc => "alloc",
-            Rule::Cast => "cast",
-            Rule::Shape => "shape",
             Rule::Shared => "shared",
             Rule::Atomics => "atomics",
             Rule::Sync => "sync",
@@ -93,15 +84,13 @@ impl Rule {
     }
 
     /// All rules, for self-tests and reporting.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 11] = [
         Rule::Safety,
         Rule::Panic,
         Rule::Bounds,
         Rule::Knob,
         Rule::Spawn,
         Rule::Alloc,
-        Rule::Cast,
-        Rule::Shape,
         Rule::Shared,
         Rule::Atomics,
         Rule::Sync,
@@ -139,8 +128,8 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A file the lexer/parser could not make structural sense of (unbalanced
-/// delimiters). Distinct from a rule [`Violation`]: the CLI exits 2 for
+/// A file whose delimiters do not balance, so no rule verdict on it can
+/// be trusted. Distinct from a rule [`Violation`]: the CLI exits 2 for
 /// these, 1 for violations.
 #[derive(Debug, Clone)]
 pub struct ParseError {
@@ -198,7 +187,7 @@ pub struct FileReport {
 /// collected into the report for the caller to check against the registry.
 pub fn check_file(file: &str, src: &str, is_lib: bool) -> FileReport {
     let toks = lex(src);
-    let ctx = FileCtx::new(file, src, &toks, is_lib);
+    let ctx = FileCtx::new(file, &toks, is_lib);
     let mut report = FileReport::default();
     report.parse_error = ctx.parse_error();
     ctx.rule_safety(&mut report);
@@ -206,16 +195,21 @@ pub fn check_file(file: &str, src: &str, is_lib: bool) -> FileReport {
     ctx.rule_bounds(&mut report);
     ctx.collect_knob_reads(&mut report);
     ctx.rule_spawn(&mut report);
-    let parsed = crate::parser::parse(&toks);
-    semantic::check(file, &toks, &parsed, &mut report);
+    ctx.rule_alloc(&mut report);
     concurrency::check(&ctx, &mut report);
-    determinism::check(&ctx, &parsed, &mut report);
+    determinism::check(&ctx, &mut report);
     report
+}
+
+/// The lint's own seeded fixtures, which are in scope for every rule so
+/// the self-test can prove each rule still fires.
+fn is_fixture(file: &str) -> bool {
+    file.contains("lint/fixtures/")
 }
 
 /// Per-file analysis context: the raw token stream, an index of code
 /// (non-comment) tokens, comment lines for suppression lookup, and the
-/// spans of `#[cfg(test)]` items and `fn` bodies.
+/// spans of `#[cfg(test)]` items, `fn` bodies and loop bodies.
 struct FileCtx<'a> {
     file: &'a str,
     toks: &'a [Token],
@@ -229,11 +223,14 @@ struct FileCtx<'a> {
     /// Code-index ranges of `fn` bodies (inclusive of the braces), in
     /// source order; nested fns produce nested ranges.
     fn_spans: Vec<(usize, usize)>,
+    /// Code-index ranges of `for`/`while`/`loop` bodies (inclusive of
+    /// the braces), in source order.
+    loop_spans: Vec<(usize, usize)>,
     is_lib: bool,
 }
 
 impl<'a> FileCtx<'a> {
-    fn new(file: &'a str, _src: &str, toks: &'a [Token], is_lib: bool) -> Self {
+    fn new(file: &'a str, toks: &'a [Token], is_lib: bool) -> Self {
         let code: Vec<usize> = (0..toks.len())
             .filter(|&i| toks[i].kind != TokKind::Comment)
             .collect();
@@ -249,10 +246,12 @@ impl<'a> FileCtx<'a> {
             comments,
             test_spans: Vec::new(),
             fn_spans: Vec::new(),
+            loop_spans: Vec::new(),
             is_lib,
         };
         ctx.test_spans = ctx.find_test_spans();
         ctx.fn_spans = ctx.find_fn_spans();
+        ctx.loop_spans = ctx.find_loop_spans();
         ctx
     }
 
@@ -332,7 +331,24 @@ impl<'a> FileCtx<'a> {
     /// on `line` or in the contiguous comment block directly above it (so
     /// a multi-line justification can wrap freely).
     fn suppressed(&self, line: usize, rule: Rule) -> bool {
-        suppressed_at(&self.comments, line, rule)
+        let pat = format!("lint:allow({})", rule.name());
+        let allow_on = |l: usize| {
+            self.comments
+                .iter()
+                .any(|&(cl, text)| cl == l && allow_has_reason(text, &pat))
+        };
+        if allow_on(line) {
+            return true;
+        }
+        let is_comment_line = |l: usize| self.comments.iter().any(|&(cl, _)| cl == l);
+        let mut l = line;
+        while l > 1 && is_comment_line(l - 1) {
+            l -= 1;
+            if allow_on(l) {
+                return true;
+            }
+        }
+        false
     }
 
     /// Candidate "statement start" lines for code-index `p`: the token
@@ -478,30 +494,46 @@ impl<'a> FileCtx<'a> {
     /// Brace spans of every `fn` body (closures are attributed to their
     /// enclosing `fn`, which is the right granularity for rule `bounds`).
     fn find_fn_spans(&self) -> Vec<(usize, usize)> {
-        let mut spans = Vec::new();
-        for p in 0..self.code.len() {
-            if !self.ct(p).is_ident("fn") {
-                continue;
-            }
-            // Walk the signature: the body is the first `{` at bracket
-            // depth 0; a `;` first means a bodyless declaration.
-            let mut depth = 0i32;
-            let mut q = p + 1;
-            while q < self.code.len() {
-                match self.ct(q).kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') => depth += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') => depth -= 1,
-                    TokKind::Punct('{') if depth == 0 => {
-                        spans.push((q, self.matching_brace(q)));
-                        break;
-                    }
-                    TokKind::Punct(';') if depth == 0 => break,
-                    _ => {}
-                }
-                q += 1;
+        (0..self.code.len())
+            .filter(|&p| self.ct(p).is_ident("fn"))
+            .filter_map(|p| self.body_after(p))
+            .collect()
+    }
+
+    /// Brace spans of every `for`/`while`/`loop` body. A loop's `for`
+    /// starts a statement or follows a label's `:`; the `for` of
+    /// `impl Trait for Type` never does, and a `for<'a>` bound is
+    /// followed by `<`.
+    fn find_loop_spans(&self) -> Vec<(usize, usize)> {
+        let loop_for = |p: usize| {
+            let starts_stmt =
+                p == 0 || matches!(self.ct(p - 1).kind, TokKind::Punct('{' | '}' | ';' | ':'));
+            starts_stmt && !(p + 1 < self.code.len() && self.ct(p + 1).is_punct('<'))
+        };
+        (0..self.code.len())
+            .filter(|&p| {
+                let t = self.ct(p);
+                t.is_ident("while") || t.is_ident("loop") || (t.is_ident("for") && loop_for(p))
+            })
+            .filter_map(|p| self.body_after(p))
+            .collect()
+    }
+
+    /// Brace span of the body that follows the keyword at code-index `p`:
+    /// the first `{` at paren/bracket depth 0. A `;` or `}` first means
+    /// there is no body (a bodyless `fn` declaration).
+    fn body_after(&self, p: usize) -> Option<(usize, usize)> {
+        let mut depth = 0i32;
+        for q in p + 1..self.code.len() {
+            match self.ct(q).kind {
+                TokKind::Punct('(' | '[') => depth += 1,
+                TokKind::Punct(')' | ']') => depth -= 1,
+                TokKind::Punct('{') if depth == 0 => return Some((q, self.matching_brace(q))),
+                TokKind::Punct(';' | '}') if depth == 0 => return None,
+                _ => {}
             }
         }
-        spans
+        None
     }
 
     /// The innermost `fn` body span containing code-index `p`.
@@ -703,6 +735,88 @@ impl<'a> FileCtx<'a> {
             );
         }
     }
+
+    // ------------------------------------------------------------------
+    // Rule: alloc
+    // ------------------------------------------------------------------
+
+    /// No `Vec::new()`, `vec![…]`, `.to_vec()`, `.collect()` or
+    /// `.clone()` inside a loop body of a hot-path module. Allocation per
+    /// *call* is fine; allocation per *iteration* is O(iterations) heap
+    /// traffic on the path whose wall time the paper's Table IV compares.
+    fn rule_alloc(&self, report: &mut FileReport) {
+        if !in_hot_path(self.file) {
+            return;
+        }
+        for p in 0..self.code.len() {
+            let Some(what) = self.alloc_at(p) else {
+                continue;
+            };
+            if !self.in_loop(p) || self.in_test_span(p) || self.stmt_suppressed(p, Rule::Alloc) {
+                continue;
+            }
+            let t = self.ct(p);
+            self.violation(
+                report,
+                t.line,
+                t.col,
+                Rule::Alloc,
+                format!(
+                    "heap allocation `{what}` inside a loop on the hot path — hoist \
+                     it out of the loop or annotate `// lint:allow(alloc) — <reason>`"
+                ),
+            );
+        }
+    }
+
+    /// The allocating call that starts at code-index `p`, if any: a
+    /// `.to_vec(`, `.collect(` or `.clone(` method call (a `::<…>`
+    /// turbofish included), `Vec::new(`, or a `vec!` macro.
+    fn alloc_at(&self, p: usize) -> Option<String> {
+        let t = self.ct(p);
+        let next_is = |o: usize, c| p + o < self.code.len() && self.ct(p + o).is_punct(c);
+        let name = t.text.as_str();
+        if t.kind != TokKind::Ident || p == 0 {
+            return None;
+        }
+        let method = self.ct(p - 1).is_punct('.') && (next_is(1, '(') || next_is(1, ':'));
+        let vec_new = name == "new"
+            && p >= 3
+            && self.ct(p - 1).is_punct(':')
+            && self.ct(p - 2).is_punct(':')
+            && self.ct(p - 3).is_ident("Vec")
+            && next_is(1, '(');
+        match name {
+            "to_vec" | "collect" | "clone" if method => Some(format!(".{name}()")),
+            "new" if vec_new => Some("Vec::new()".to_string()),
+            "vec" if next_is(1, '!') && (next_is(2, '(') || next_is(2, '[') || next_is(2, '{')) => {
+                Some("vec![…]".to_string())
+            }
+            _ => None,
+        }
+    }
+
+    /// True if code-index `p` sits in a loop body of its innermost `fn`:
+    /// a fn nested in a loop runs once per call, not once per iteration.
+    fn in_loop(&self, p: usize) -> bool {
+        let Some((fn_start, _)) = self.enclosing_fn(p) else {
+            return false;
+        };
+        self.loop_spans
+            .iter()
+            .any(|&(s, e)| fn_start < s && s < p && p <= e)
+    }
+}
+
+/// Hot-path modules for the `alloc` rule: the code whose per-epoch wall
+/// time is the paper's headline number (Table IV).
+fn in_hot_path(file: &str) -> bool {
+    file.ends_with("tensor/src/linalg.rs")
+        || file.ends_with("tensor/src/conv.rs")
+        || file.ends_with("tensor/src/pool.rs")
+        || file.ends_with("autodiff/src/ops.rs")
+        || file.contains("attack/src/")
+        || is_fixture(file)
 }
 
 /// True if `name` is a raw-pointer kernel entry point the `bounds` rule
@@ -726,31 +840,6 @@ fn string_content(text: &str) -> &str {
         Some(close) => &inner[..close],
         None => inner,
     }
-}
-
-/// True if a `lint:allow(<rule>)` comment with a non-empty reason sits on
-/// `line` or in the contiguous comment block directly above it. Shared by
-/// the token rules ([`FileCtx`]), the semantic rules and the panic
-/// reachability pass.
-pub(crate) fn suppressed_at(comments: &[(usize, &str)], line: usize, rule: Rule) -> bool {
-    let pat = format!("lint:allow({})", rule.name());
-    let allow_on = |l: usize| {
-        comments
-            .iter()
-            .any(|&(cl, text)| cl == l && allow_has_reason(text, &pat))
-    };
-    if allow_on(line) {
-        return true;
-    }
-    let is_comment_line = |l: usize| comments.iter().any(|&(cl, _)| cl == l);
-    let mut l = line;
-    while l > 1 && is_comment_line(l - 1) {
-        l -= 1;
-        if allow_on(l) {
-            return true;
-        }
-    }
-    false
 }
 
 /// True if `text` contains `pat` (a `lint:allow(<rule>)` marker) followed
@@ -970,5 +1059,107 @@ mod tests {
     fn spawn_as_plain_word_is_ignored() {
         let src = "fn spawn_rate() -> f32 { 1.0 }\nfn f() { let spawn = 3; let _ = spawn; }";
         assert!(rules_fired(src).is_empty());
+    }
+
+    // ---- alloc ----
+
+    const HOT: &str = "crates/tensor/src/linalg.rs";
+    const COLD: &str = "crates/nn/src/layers.rs";
+
+    fn alloc_lines(file: &str, src: &str) -> Vec<usize> {
+        check_file(file, src, true)
+            .violations
+            .into_iter()
+            .filter(|v| v.rule == Rule::Alloc)
+            .map(|v| v.line)
+            .collect()
+    }
+
+    #[test]
+    fn allocation_in_loop_fires_on_hot_path() {
+        let src = "fn k(n: usize) {\n    for i in 0..n {\n        let v = Vec::new();\n    }\n}";
+        assert_eq!(rules_at(HOT, src), vec![Rule::Alloc]);
+        // Every enclosing loop kind counts, nested or not, and a labelled
+        // loop is still a loop; the allocation before the loops is fine.
+        let src = "fn k(n: usize) {\n\
+                   let a = Vec::new();\n\
+                   for i in 0..n {\n\
+                   let b = Vec::new();\n\
+                   while i < n { let c = Vec::new(); }\n\
+                   }\n\
+                   'outer: loop { let d = Vec::new(); }\n}";
+        assert_eq!(alloc_lines(HOT, src), vec![4, 5, 7]);
+    }
+
+    #[test]
+    fn all_alloc_forms_fire() {
+        let src = "fn k(n: usize, s: &[f32]) {\n    for i in 0..n {\n        let a = vec![0.0; 4];\n        let b = s.to_vec();\n        let c = b.clone();\n        let d = s.iter().collect::<Vec<_>>();\n        let e: Vec<f32> = s.iter().copied().collect();\n        let f: Vec<f32> = Vec::new();\n    }\n}";
+        assert_eq!(alloc_lines(HOT, src), vec![3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn allocation_outside_loop_is_fine() {
+        let src = "fn k(n: usize) {\n    let mut v = Vec::new();\n    for i in 0..n {\n        v.push(i);\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+        // Neither `impl Trait for Type` nor a `for<'a>` bound is a loop.
+        let src = "impl Attack for Pgd {\n    fn name(&self) -> Vec<u8> { self.tag.clone() }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+        let src = "fn k() {\n    let f: for<'a> fn(&'a [f32]) -> Vec<f32> = |s| { s.to_vec() };\n}";
+        assert!(rules_at(HOT, src).is_empty());
+        // A fn nested in a loop body runs once per call of it, not once
+        // per iteration of the loop around its definition.
+        let src = "fn outer(n: usize) {\n    for i in 0..n {\n        fn inner() -> Vec<u8> { Vec::new() }\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn alloc_is_scoped_to_hot_path_modules() {
+        let src = "fn k(n: usize) {\n    for i in 0..n {\n        let v = Vec::new();\n    }\n}";
+        assert!(rules_at(COLD, src).is_empty());
+    }
+
+    #[test]
+    fn alloc_annotation_is_honored() {
+        let src = "fn k(n: usize) {\n    for i in 0..n {\n        // lint:allow(alloc) — O(restarts) outer loop, not per-element\n        let v = Vec::new();\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn annotation_above_wrapped_statement_is_honored() {
+        // The `.collect()` sits two lines below the statement start; the
+        // annotation above the statement must still cover it.
+        let src = "fn k(n: usize, s: &[f32]) {\n    for i in 0..n {\n        // lint:allow(alloc) — once per outer iteration by design\n        let v: Vec<f32> = s\n            .iter()\n            .copied()\n            .collect();\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn arc_clone_is_not_method_clone() {
+        let src = "fn k(n: usize, x: &Arc<u8>) {\n    for i in 0..n {\n        let y = Arc::clone(x);\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn test_modules_are_exempt_from_alloc() {
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(n: usize) {\n        for i in 0..n { let v = Vec::new(); }\n    }\n}";
+        assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn messages_carry_allow_hints() {
+        let src = "fn k(n: usize) {\n    for i in 0..n {\n        let v = Vec::new();\n    }\n}";
+        let v: Vec<Violation> = check_file(HOT, src, true).violations;
+        assert!(
+            v[0].message.contains("lint:allow(alloc)"),
+            "{}",
+            v[0].message
+        );
+    }
+
+    fn rules_at(file: &str, src: &str) -> Vec<Rule> {
+        check_file(file, src, true)
+            .violations
+            .into_iter()
+            .map(|v| v.rule)
+            .collect()
     }
 }

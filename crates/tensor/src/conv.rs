@@ -542,8 +542,8 @@ pub fn conv2d_backward_data(
         for (bi, block) in chunk.chunks_mut(plane).enumerate() {
             let b = b0 + bi;
             let job = TapJob {
-                // lint:allow(shape) — `backward_geom` asserted `grad_out`
-                // is `[N, O, Ho, Wo]`, so each example's block is in bounds.
+                // `backward_geom` asserted `grad_out` is `[N, O, Ho, Wo]`,
+                // so each example's block is in bounds.
                 grad: &gdat[b * o * pixels..(b + 1) * o * pixels],
                 weight: weight.as_slice(),
                 o,
@@ -659,8 +659,8 @@ impl Chain for Wide {
     #[inline(always)]
     fn flush(acc: &Self::Acc, tap: &mut [f32; LANES], _first: bool) {
         for (t, &a) in tap.iter_mut().zip(acc) {
-            // lint:allow(cast) — the f64 mode rounds each tap's chain to
-            // f32 exactly once, here, as the f64 GEMM rounds its output.
+            // The f64 mode rounds each tap's chain to f32 exactly once,
+            // here, as the f64 GEMM rounds its output.
             *t = a as f32;
         }
     }

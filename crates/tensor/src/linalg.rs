@@ -718,8 +718,8 @@ fn gemm_tiny_f64(m: usize, k: usize, n: usize, a: MatRef<'_>, b: MatRef<'_>, out
             }
         }
         for (j, cv) in crow.iter_mut().enumerate() {
-            // lint:allow(cast) — this fn IS the f64-accumulation mode: wide
-            // dot products round to the f32 output exactly once, here.
+            // The wide dot products round to the f32 output exactly once,
+            // here.
             *cv = row[j] as f32;
         }
     }

@@ -219,10 +219,9 @@ impl Tensor {
         let src = &self.data;
         let mut data = vec![0.0f32; src.len()];
         pool::parallel_for_mut(&mut data, 1, ELEMENTWISE_GRAIN, |start, chunk| {
-            // lint:allow(shape) — unary elementwise: `data` is sized from
-            // `src`, so the sub-slice is in bounds by construction. The
-            // slice-zip form carries no per-element bounds checks, so
-            // simple closures autovectorize.
+            // `data` is sized from `src`, so the sub-slice is in bounds by
+            // construction. The slice-zip form carries no per-element
+            // bounds checks, so simple closures autovectorize.
             let src = &src[start..start + chunk.len()];
             for (v, &s) in chunk.iter_mut().zip(src) {
                 *v = f(s);
@@ -385,8 +384,8 @@ impl Tensor {
             let (a, b) = (&self.data, &other.data);
             let mut data = vec![0.0f32; a.len()];
             pool::parallel_for_mut(&mut data, 1, ELEMENTWISE_GRAIN, |start, chunk| {
-                // lint:allow(shape) — guarded by the `shape == shape` branch
-                // above; `data` is sized from `a`. Bounds-check-free
+                // The `shape == shape` branch above keeps `b` as long as
+                // `a`, and `data` is sized from `a`. Bounds-check-free
                 // slice-zips let arithmetic closures autovectorize.
                 let a = &a[start..start + chunk.len()];
                 let b = &b[start..start + chunk.len()];
@@ -1141,6 +1140,14 @@ mod tests {
         assert_eq!(cat.dim(0), 3);
         assert_eq!(cat.as_slice(), &[1., 2., 3., 1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.slice_rows(1, 2).as_slice(), &[4., 5., 6.]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trailing dimensions disagree")]
+    fn concat_rows_rejects_mismatched_rows() {
+        // Without the shape assert this builds a [4, 3] tensor over 14
+        // values: no index goes out of bounds to catch it.
+        Tensor::concat_rows(&[&t2x3(), &Tensor::zeros(&[2, 4])]);
     }
 
     #[test]

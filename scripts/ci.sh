@@ -52,12 +52,14 @@ GANDEF_THREADS=4 cargo test -q -p gandef-tensor --lib data_gradient
 
 echo "==> gandef-lint (workspace must be clean, within the time budget)"
 # scripts/lint_budget.txt holds the baseline total lint CPU time in
-# milliseconds (each file timed on its worker thread's CPU clock, so a
+# milliseconds (each file timed on the linting thread's CPU clock, so a
 # busy host does not count); the run fails above 3x that — the
 # perf-regression gate for the lint itself (a quadratic blowup in a new
-# rule would otherwise land silently). Re-baseline with
+# rule would otherwise land silently). Re-baseline with the median of
+# at least 10 quiet runs of
 #   ./target/release/gandef-lint --timings 2>&1 >/dev/null | tail -1
-# after a deliberate analysis-cost change.
+# after a deliberate analysis-cost change, and never raise it to make
+# a slower lint pass.
 ./target/release/gandef-lint --budget scripts/lint_budget.txt
 
 echo "==> bench_kernels --smoke + bench_diff"
