@@ -1079,6 +1079,10 @@ mod tests {
     fn allocation_in_loop_fires_on_hot_path() {
         let src = "fn k(n: usize) {\n    for i in 0..n {\n        let v = Vec::new();\n    }\n}";
         assert_eq!(rules_at(HOT, src), vec![Rule::Alloc]);
+    }
+
+    #[test]
+    fn alloc_sees_every_loop_depth() {
         // Every enclosing loop kind counts, nested or not, and a labelled
         // loop is still a loop; the allocation before the loops is fine.
         let src = "fn k(n: usize) {\n\
@@ -1093,23 +1097,49 @@ mod tests {
 
     #[test]
     fn all_alloc_forms_fire() {
-        let src = "fn k(n: usize, s: &[f32]) {\n    for i in 0..n {\n        let a = vec![0.0; 4];\n        let b = s.to_vec();\n        let c = b.clone();\n        let d = s.iter().collect::<Vec<_>>();\n        let e: Vec<f32> = s.iter().copied().collect();\n        let f: Vec<f32> = Vec::new();\n    }\n}";
-        assert_eq!(alloc_lines(HOT, src), vec![3, 4, 5, 6, 7, 8]);
+        let src = "fn k(n: usize, s: &[f32]) {\n    for i in 0..n {\n        let a = vec![0.0; 4];\n        let b = s.to_vec();\n        let c = b.clone();\n        let d = s.iter().collect::<Vec<_>>();\n    }\n}";
+        assert_eq!(alloc_lines(HOT, src), vec![3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn alloc_sees_calls_macros_and_turbofish() {
+        // A typed `Vec::new()`, `.collect()` with and without a turbofish,
+        // and `vec!` as a call argument all fire; `assert!` and `.push(`
+        // do not allocate.
+        let src = "fn k(n: usize, s: &[f32], v: Vec<u8>) {\n\
+                   for i in 0..n {\n\
+                   let a: Vec<f32> = Vec::new();\n\
+                   let b: Vec<u8> = v.iter().copied().collect::<Vec<u8>>();\n\
+                   let e: Vec<f32> = s.iter().copied().collect();\n\
+                   assert!(a.len() == 0);\n\
+                   tape.push(x, vec![p], None);\n\
+                   }\n}";
+        assert_eq!(alloc_lines(HOT, src), vec![3, 4, 5, 7]);
     }
 
     #[test]
     fn allocation_outside_loop_is_fine() {
         let src = "fn k(n: usize) {\n    let mut v = Vec::new();\n    for i in 0..n {\n        v.push(i);\n    }\n}";
         assert!(rules_at(HOT, src).is_empty());
-        // Neither `impl Trait for Type` nor a `for<'a>` bound is a loop.
+    }
+
+    #[test]
+    fn impl_trait_for_and_for_bounds_are_not_loops() {
         let src = "impl Attack for Pgd {\n    fn name(&self) -> Vec<u8> { self.tag.clone() }\n}";
         assert!(rules_at(HOT, src).is_empty());
         let src = "fn k() {\n    let f: for<'a> fn(&'a [f32]) -> Vec<f32> = |s| { s.to_vec() };\n}";
         assert!(rules_at(HOT, src).is_empty());
+    }
+
+    #[test]
+    fn alloc_in_nested_fn_is_not_per_iteration() {
         // A fn nested in a loop body runs once per call of it, not once
-        // per iteration of the loop around its definition.
+        // per iteration of the loop around its definition; a loop inside
+        // the nested fn still counts.
         let src = "fn outer(n: usize) {\n    for i in 0..n {\n        fn inner() -> Vec<u8> { Vec::new() }\n    }\n}";
         assert!(rules_at(HOT, src).is_empty());
+        let src = "fn outer(n: usize) {\n    for i in 0..n {\n        fn inner() {\n            loop { let v = Vec::new(); }\n        }\n    }\n}";
+        assert_eq!(alloc_lines(HOT, src), vec![4]);
     }
 
     #[test]
