@@ -174,7 +174,8 @@ impl TrafficStream {
     }
 
     /// The pre-generated pool for `class`, `[n, dims…]`, rows aligned
-    /// with [`TrafficStream::pool_labels`] — for offline accuracy checks.
+    /// with the labels the stream was built from — for offline accuracy
+    /// checks.
     pub fn pool(&self, class: TrafficClass) -> &Tensor {
         match class {
             TrafficClass::Clean => &self.pools[0],
@@ -182,11 +183,6 @@ impl TrafficStream {
             TrafficClass::Pgd => &self.pools[2],
             TrafficClass::DeepFool => &self.pools[3],
         }
-    }
-
-    /// Ground-truth labels shared by every pool's rows.
-    pub fn pool_labels(&self) -> &[usize] {
-        &self.labels
     }
 
     /// Draws the next request: a weighted class pick, then a uniform row.

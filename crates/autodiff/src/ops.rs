@@ -109,12 +109,6 @@ impl Tape {
         )
     }
 
-    /// `x + alpha` (elementwise constant shift).
-    pub fn add_scalar(&mut self, x: VarId, alpha: f32) -> VarId {
-        let value = self.value(x).add_scalar(alpha);
-        self.push(value, vec![x], Some(Box::new(|g, _| vec![Some(g)])))
-    }
-
     /// `x²` elementwise.
     pub fn square(&mut self, x: VarId) -> VarId {
         let value = self.value(x).square();
@@ -618,9 +612,8 @@ mod tests {
             |t, x| {
                 let half = t.scale(x, 0.5);
                 let neg = t.neg(half);
-                let shifted = t.add_scalar(neg, 1.0);
                 let c = t.leaf(Tensor::full(&[2, 3], 0.3));
-                let d = t.sub(shifted, c);
+                let d = t.sub(neg, c);
                 let sq = t.square(d);
                 t.mean_all(sq)
             },

@@ -11,8 +11,6 @@
 //! | `fig5_convergence` | Figure 5 right (CLS loss traces) |
 //! | `gamma_ablation` | §III-D γ trade-off (extension) |
 //! | `prop1_entropy` | Proposition-1 diagnostics (extension) |
-//! | `disc_capacity` | Table-II capacity ablation (extension) |
-//! | `augmentation_ablation` | §IV-B future-work noise comparison (extension) |
 //! | `transfer_attack` | §II-A black-box transfer setting (extension) |
 //! | `logit_signature` | §III-A logit-magnitude hypothesis (extension) |
 //!

@@ -6,15 +6,13 @@ use gandef_tensor::accum::Accum;
 use std::path::PathBuf;
 
 /// Checkpointing policy for a training run: where run state goes, how
-/// often it is written, and whether an existing state resumes the run.
+/// many run states are kept, and whether an existing state resumes the
+/// run. A checkpoint is written after every epoch.
 #[derive(Clone, Debug)]
 pub struct CheckpointPolicy {
     /// Checkpoint directory. Holds one `run_state.gnrs` plus a `.gndf`
     /// weights file per parameter store (e.g. `model.gndf`, `disc.gndf`).
     pub dir: PathBuf,
-    /// Write a checkpoint every `every` epochs (and always after the
-    /// final one). Default: 1.
-    pub every: usize,
     /// Whether a readable run state in `dir` resumes training from its
     /// epoch instead of starting over. Default: true.
     pub resume: bool,
@@ -32,16 +30,9 @@ impl CheckpointPolicy {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointPolicy {
             dir: dir.into(),
-            every: 1,
             resume: true,
             keep: 1,
         }
-    }
-
-    /// Returns a copy checkpointing every `every` epochs (≥ 1).
-    pub fn every(mut self, every: usize) -> Self {
-        self.every = every.max(1);
-        self
     }
 
     /// Returns a copy that ignores existing state (always starts fresh).
@@ -58,27 +49,19 @@ impl CheckpointPolicy {
 }
 
 /// Divergence-guard policy: when an epoch's mean loss goes non-finite or
-/// spikes, roll back to the last good run state, back off the learning
-/// rate, and retry — up to a budget.
+/// spikes, roll back to the last good run state, halve the learning
+/// rate, and retry — up to a budget. The spike test and the backoff are
+/// fixed (`SPIKE_FACTOR` and `LR_BACKOFF` in the run driver).
 #[derive(Clone, Debug)]
 pub struct GuardPolicy {
     /// Total rollback attempts per run before the guard stops training at
     /// the last good state. `0` disables the guard.
     pub max_retries: usize,
-    /// A finite loss is a spike when it exceeds the previous epoch's loss
-    /// by more than `spike_factor · (|prev| + 1)`.
-    pub spike_factor: f32,
-    /// Multiplier applied to every optimizer's learning rate on rollback.
-    pub lr_backoff: f32,
 }
 
 impl Default for GuardPolicy {
     fn default() -> Self {
-        GuardPolicy {
-            max_retries: 3,
-            spike_factor: 4.0,
-            lr_backoff: 0.5,
-        }
+        GuardPolicy { max_retries: 3 }
     }
 }
 

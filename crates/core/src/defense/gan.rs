@@ -33,21 +33,6 @@ use gandef_nn::{one_hot, zoo, Mode, Net, Params, Session};
 use gandef_tensor::rng::Prng;
 use gandef_tensor::Tensor;
 
-/// Random-noise family for the zero-knowledge perturbation source.
-///
-/// The paper uses Gaussian noise and defers "the detailed comparison of
-/// different augmentation methods" to future work (§IV-B); the
-/// `augmentation_ablation` bench runs that comparison with these variants.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NoiseKind {
-    /// `N(0, σ)` per pixel — the paper's choice.
-    Gaussian,
-    /// `U(−σ, σ)` per pixel (σ reinterpreted as the amplitude).
-    Uniform,
-    /// Salt-and-pepper with pixel flip rate `min(σ/4, 0.9)`.
-    SaltPepper,
-}
-
 /// Upper bound on the classifier's adversarial reward `BCE(D(z), s)`, in
 /// nats. Chance level is `ln 2 ≈ 0.69`; past ~3 the discriminator is
 /// already maximally fooled and further logit inflation only harms the
@@ -57,8 +42,8 @@ const ADV_REWARD_CAP: f32 = 3.0;
 /// Perturbation source feeding the minimax game.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Source {
-    /// Random noise — zero-knowledge (ZK-GanDef).
-    Noise(NoiseKind),
+    /// Gaussian noise — zero-knowledge (ZK-GanDef).
+    Gaussian,
     /// PGD adversarial examples — full-knowledge (PGD-GanDef).
     Pgd,
 }
@@ -67,7 +52,6 @@ enum Source {
 #[derive(Clone, Debug)]
 pub struct GanDef {
     source: Source,
-    disc_widths: Vec<usize>,
 }
 
 impl GanDef {
@@ -75,17 +59,7 @@ impl GanDef {
     /// perturbations (the paper's headline defense).
     pub fn zero_knowledge() -> Self {
         GanDef {
-            source: Source::Noise(NoiseKind::Gaussian),
-            disc_widths: vec![32, 64, 32],
-        }
-    }
-
-    /// ZK-GanDef with an alternative noise family (the §IV-B future-work
-    /// augmentation comparison).
-    pub fn with_noise(kind: NoiseKind) -> Self {
-        GanDef {
-            source: Source::Noise(kind),
-            disc_widths: vec![32, 64, 32],
+            source: Source::Gaussian,
         }
     }
 
@@ -93,24 +67,14 @@ impl GanDef {
     pub fn pgd() -> Self {
         GanDef {
             source: Source::Pgd,
-            disc_widths: vec![32, 64, 32],
         }
-    }
-
-    /// Overrides the discriminator's hidden widths (default: Table II's
-    /// `[32, 64, 32]`) — the capacity-ablation knob.
-    pub fn with_discriminator_widths(mut self, widths: &[usize]) -> Self {
-        self.disc_widths = widths.to_vec();
-        self
     }
 }
 
 impl Defense for GanDef {
     fn name(&self) -> &'static str {
         match self.source {
-            Source::Noise(NoiseKind::Gaussian) => "ZK-GanDef",
-            Source::Noise(NoiseKind::Uniform) => "ZK-GanDef(uniform)",
-            Source::Noise(NoiseKind::SaltPepper) => "ZK-GanDef(salt-pepper)",
+            Source::Gaussian => "ZK-GanDef",
             Source::Pgd => "PGD-GanDef",
         }
     }
@@ -120,11 +84,7 @@ impl Defense for GanDef {
     fn train(&self, net: &mut Net, ds: &Dataset, cfg: &TrainConfig, rng: &mut Prng) -> TrainReport {
         let classes = ds.kind.classes();
         // Line 1: initialize weight parameters in both networks.
-        let disc = Net::with_classes(
-            zoo::discriminator_with_widths(classes, &self.disc_widths),
-            1,
-            &mut rng.fork(0xD0),
-        );
+        let disc = Net::with_classes(zoo::discriminator(classes), 1, &mut rng.fork(0xD0));
         let mut game = Minimax {
             source: self.source,
             cfg,
@@ -165,11 +125,7 @@ impl Step for Minimax<'_> {
         // Lines 4–5 / 9–10: evenly sampled originals and perturbed examples
         // with their source indicator s (0 = original x̄, 1 = perturbed x̂).
         let mixed = half_perturbed(&b.x, &b.y, |x, y| match self.source {
-            Source::Noise(NoiseKind::Gaussian) => preprocess::gaussian_perturb(x, cfg.sigma, b.rng),
-            Source::Noise(NoiseKind::Uniform) => preprocess::uniform_perturb(x, cfg.sigma, b.rng),
-            Source::Noise(NoiseKind::SaltPepper) => {
-                preprocess::salt_pepper_perturb(x, (cfg.sigma * 0.25).min(0.9), b.rng)
-            }
+            Source::Gaussian => preprocess::gaussian_perturb(x, cfg.sigma, b.rng),
             Source::Pgd => training_pgd(cfg).perturb(b.net, x, y, b.rng),
         })?;
         let (n, half) = (mixed.dim(0), mixed.dim(0) / 2);

@@ -26,7 +26,7 @@ mod vanilla;
 pub use adv::AdvTraining;
 pub use clp::Clp;
 pub use cls::Cls;
-pub use gan::{GanDef, NoiseKind};
+pub use gan::GanDef;
 pub use vanilla::Vanilla;
 
 use crate::TrainConfig;

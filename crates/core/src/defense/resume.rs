@@ -7,7 +7,7 @@
 //! optimizer moments, RNG state, epoch counter) and snapshots the state
 //! the guard can roll back to; and after every epoch, where it records the
 //! epoch, checks its loss for divergence, rolls back with learning-rate
-//! backoff, writes the periodic checkpoint, and names the next epoch.
+//! backoff, writes the checkpoint, and names the next epoch.
 //!
 //! Under [`Accum::F64`](gandef_tensor::accum::Accum) a resumed run is
 //! *bit-exact*: training 4 epochs, killing the process and resuming for 4
@@ -108,12 +108,17 @@ pub(super) enum EpochOutcome {
     Stop,
 }
 
+/// A finite loss is a spike when it exceeds the previous epoch's loss by
+/// more than `SPIKE_FACTOR · (|prev| + 1)`.
+const SPIKE_FACTOR: f32 = 4.0;
+
+/// Multiplier applied to every optimizer's learning rate on rollback.
+const LR_BACKOFF: f32 = 0.5;
+
 /// Per-run driver state. One per `Defense::train` invocation.
 pub(super) struct RunDriver {
     dir: Option<PathBuf>,
-    every: usize,
     keep: usize,
-    total_epochs: usize,
     guard: GuardPolicy,
     retries_left: usize,
     /// Last known-good snapshot; rollback target. Captured at `begin` and
@@ -168,9 +173,7 @@ impl RunDriver {
         let guard = cfg.guard.clone();
         let driver = RunDriver {
             dir: policy.map(|p| p.dir.clone()),
-            every: policy.map_or(1, |p| p.every),
             keep: policy.map_or(1, |p| p.keep),
-            total_epochs: cfg.epochs,
             retries_left: guard.max_retries,
             guard,
             last_good: parts.capture(start_epoch),
@@ -212,11 +215,12 @@ impl RunDriver {
     /// wall-clock `secs`, mean loss `loss`).
     ///
     /// A healthy epoch is recorded in the report, snapshotted as the new
-    /// rollback target, and checkpointed per policy. A divergent loss
-    /// (non-finite, or a spike beyond the guard's factor) instead rolls
-    /// the run back to the last good snapshot with the learning rate
-    /// scaled down — until the retry budget runs out, at which point the
-    /// guard restores the last good state and stops the run.
+    /// rollback target, and checkpointed if the run has a checkpoint
+    /// directory. A divergent loss (non-finite, or a spike beyond
+    /// [`SPIKE_FACTOR`]) instead rolls the run back to the last good
+    /// snapshot with the learning rate scaled by [`LR_BACKOFF`] — until
+    /// the retry budget runs out, at which point the guard restores the
+    /// last good state and stops the run.
     pub(super) fn after_epoch(
         &mut self,
         epoch: usize,
@@ -246,7 +250,7 @@ impl RunDriver {
             // rollbacks keep shrinking it and the restored optimizer
             // continues at the reduced rate.
             for (_, opt_state) in &mut self.last_good.optims {
-                opt_state.lr *= self.guard.lr_backoff;
+                opt_state.lr *= LR_BACKOFF;
             }
             restore(&mut parts, &self.last_good);
             let to_epoch = self.last_good.epoch as usize;
@@ -280,16 +284,14 @@ impl RunDriver {
         let completed = epoch + 1;
         self.last_good = parts.capture(completed);
         if let Some(dir) = &self.dir {
-            if completed % self.every == 0 || completed == self.total_epochs {
-                if let Err(e) = Self::write_checkpoint(dir, &self.last_good, self.keep) {
-                    eprintln!(
-                        "warning: checkpoint at epoch {completed} failed: {e}; training continues"
-                    );
-                    report.events.push(RunEvent::CheckpointFailed {
-                        epoch: completed,
-                        error: e.to_string(),
-                    });
-                }
+            if let Err(e) = Self::write_checkpoint(dir, &self.last_good, self.keep) {
+                eprintln!(
+                    "warning: checkpoint at epoch {completed} failed: {e}; training continues"
+                );
+                report.events.push(RunEvent::CheckpointFailed {
+                    epoch: completed,
+                    error: e.to_string(),
+                });
             }
         }
         // The crash point for `GANDEF_FAULT=kill:epoch:N` — after the
@@ -299,7 +301,7 @@ impl RunDriver {
     }
 
     /// Checks a single batch's loss mid-epoch. Returns `true` when the
-    /// batch is divergent (non-finite, or a spike past the guard's factor
+    /// batch is divergent (non-finite, or a spike past [`SPIKE_FACTOR`]
     /// against the last healthy *epoch* loss) and the guard is armed — the
     /// loop then aborts the epoch and reports this batch loss as the epoch
     /// loss, so the epoch boundary rolls back the same epoch. Without this
@@ -333,7 +335,7 @@ impl RunDriver {
             return true;
         }
         match self.prev_loss {
-            Some(prev) => loss - prev > self.guard.spike_factor * (prev.abs() + 1.0),
+            Some(prev) => loss - prev > SPIKE_FACTOR * (prev.abs() + 1.0),
             None => false,
         }
     }

@@ -32,34 +32,6 @@ pub fn gaussian_perturb(x: &Tensor, sigma: f32, rng: &mut Prng) -> Tensor {
     })
 }
 
-/// Uniform perturbation `U(−a, a)` per pixel, projected into the pixel
-/// range. An alternative augmentation source; the paper leaves "the
-/// detailed comparison of different augmentation methods as future work"
-/// (§IV-B) — the `augmentation_ablation` bench performs it.
-pub fn uniform_perturb(x: &Tensor, amplitude: f32, rng: &mut Prng) -> Tensor {
-    let src = x.as_slice();
-    Tensor::from_fn(x.shape().dims(), |i| {
-        (src[i] + rng.uniform_in(-amplitude, amplitude)).clamp(PIXEL_MIN, PIXEL_MAX)
-    })
-}
-
-/// Salt-and-pepper perturbation: each pixel is independently forced to
-/// `PIXEL_MIN` or `PIXEL_MAX` with probability `rate/2` each. A heavy-
-/// tailed augmentation alternative for the same future-work comparison.
-pub fn salt_pepper_perturb(x: &Tensor, rate: f32, rng: &mut Prng) -> Tensor {
-    let src = x.as_slice();
-    Tensor::from_fn(x.shape().dims(), |i| {
-        let u = rng.uniform();
-        if u < rate * 0.5 {
-            PIXEL_MIN
-        } else if u < rate {
-            PIXEL_MAX
-        } else {
-            src[i]
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,32 +68,5 @@ mod tests {
         let small = gaussian_perturb(&x, 0.1, &mut rng).abs().mean();
         let large = gaussian_perturb(&x, 1.0, &mut rng).abs().mean();
         assert!(large > small * 2.0, "small {small}, large {large}");
-    }
-
-    #[test]
-    fn uniform_perturb_bounded_by_amplitude_and_range() {
-        let x = Tensor::zeros(&[64]);
-        let mut rng = Prng::new(4);
-        let p = uniform_perturb(&x, 0.3, &mut rng);
-        assert!(p.linf_norm() <= 0.3 + 1e-6);
-        let edge = Tensor::full(&[64], 0.9);
-        let p = uniform_perturb(&edge, 0.5, &mut rng);
-        assert!(p.max_value() <= PIXEL_MAX);
-    }
-
-    #[test]
-    fn salt_pepper_hits_extremes_at_expected_rate() {
-        let x = Tensor::zeros(&[10_000]);
-        let mut rng = Prng::new(5);
-        let p = salt_pepper_perturb(&x, 0.2, &mut rng);
-        let flipped = p.as_slice().iter().filter(|&&v| v != 0.0).count();
-        assert!(
-            (1_500..2_500).contains(&flipped),
-            "flip count {flipped} far from 20%"
-        );
-        assert!(p
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.0 || v == PIXEL_MIN || v == PIXEL_MAX));
     }
 }

@@ -102,38 +102,6 @@ pub fn discriminator(logit_dim: usize) -> Sequential {
     ])
 }
 
-/// A discriminator with custom hidden widths (ReLU hidden layers, fused
-/// sigmoid output like [`discriminator`]) — the capacity-ablation variant.
-/// Table II's structure corresponds to `widths = [32, 64, 32]`.
-///
-/// # Panics
-///
-/// Panics if `widths` is empty.
-pub fn discriminator_with_widths(logit_dim: usize, widths: &[usize]) -> Sequential {
-    assert!(
-        !widths.is_empty(),
-        "discriminator needs at least one hidden layer"
-    );
-    let mut layers: Vec<Box<dyn crate::layer::Layer>> = Vec::new();
-    let mut prev = logit_dim;
-    for (i, &w) in widths.iter().enumerate() {
-        layers.push(Box::new(Dense::new(
-            &format!("d{}", i + 1),
-            prev,
-            w,
-            Some(Act::Relu),
-        )));
-        prev = w;
-    }
-    layers.push(Box::new(Dense::new(
-        &format!("d{}", widths.len() + 1),
-        prev,
-        1,
-        None,
-    )));
-    Sequential::new(layers)
-}
-
 /// A small multi-layer perceptron for flat `[N, in_dim]` inputs — used by
 /// the test suites and the quickstart example where convolution-scale
 /// compute is unnecessary.
@@ -228,17 +196,6 @@ mod tests {
         discriminator(10).init(&mut p, &mut rng);
         // (10·32+32) + (32·64+64) + (64·32+32) + (32·1+1) = 4577
         assert_eq!(p.numel(), 4577);
-    }
-
-    #[test]
-    fn custom_width_discriminator_matches_table2_when_asked() {
-        let d = discriminator_with_widths(10, &[32, 64, 32]);
-        assert_eq!(d.summary(), discriminator(10).summary());
-        let wide = discriminator_with_widths(10, &[128]);
-        assert_eq!(
-            wide.summary(),
-            vec!["Dense(10 -> 128, ReLU)", "Dense(128 -> 1)"]
-        );
     }
 
     #[test]

@@ -29,17 +29,15 @@
 //!   everything queued behind it.
 //! * **Supervision.** The batcher thread runs under a supervisor: if it
 //!   panics (a bug, or an injected `GANDEF_FAULT=panic:serve_batch:n`),
-//!   every queued request fails fast with the retryable
-//!   [`ServeError::BatcherDown`] — a [`Pending::wait`] can *never* hang —
-//!   and the batcher is respawned from the last-good `Arc<Params>`
-//!   snapshot, counted in [`ServeStats::batcher_restarts`]. The watcher
-//!   survives its own panics the same way.
+//!   every queued request fails fast with [`ServeError::BatcherDown`] —
+//!   a [`Pending::wait`] can *never* hang — and the batcher is respawned
+//!   from the last-good `Arc<Params>` snapshot, counted in
+//!   [`ServeStats::batcher_restarts`]. The watcher survives its own
+//!   panics the same way.
 //! * **Load shedding.** Past [`ServeConfig::shed_threshold`] queued
-//!   requests, [`Server::submit`] sheds with [`ServeError::Overloaded`]
-//!   carrying a retry-after hint, so requests that *are* accepted keep
-//!   their latency SLO instead of everyone timing out together. The
-//!   client-side [`Server::classify_with_retry`] helper honors the hint
-//!   with bounded exponential backoff plus jitter.
+//!   requests, [`Server::submit`] sheds with [`ServeError::Overloaded`],
+//!   so requests that *are* accepted keep their latency SLO instead of
+//!   everyone timing out together.
 //! * **Fault injection.** The serve path exposes `gandef_nn::fault`
 //!   sites — `serve_submit`, `serve_batch`, `serve_forward`,
 //!   `serve_reply`, `serve_reload` — so the chaos sweep test in
@@ -90,7 +88,6 @@ use gandef_nn::layer::Sequential;
 use gandef_nn::serialize::{checkpoint_fingerprint, load_params};
 use gandef_nn::Params;
 use gandef_tensor::accum::{with_accum, Accum};
-use gandef_tensor::rng::Prng;
 use gandef_tensor::Tensor;
 
 /// Locks a mutex, recovering the guard if a client thread panicked while
@@ -113,9 +110,9 @@ pub struct ServeConfig {
     /// [`ServeError::QueueFull`] once this many requests are waiting.
     pub queue_cap: usize,
     /// Load-shedding bound: once this many requests are waiting,
-    /// [`Server::submit`] sheds with [`ServeError::Overloaded`] and a
-    /// retry-after hint instead of queueing deeper. `None` (default)
-    /// disables shedding, leaving only the hard [`Self::queue_cap`].
+    /// [`Server::submit`] sheds with [`ServeError::Overloaded`] instead
+    /// of queueing deeper. `None` (default) disables shedding, leaving
+    /// only the hard [`Self::queue_cap`].
     pub shed_threshold: Option<usize>,
     /// Per-request deadline, measured from the moment
     /// [`Server::submit`] accepts the request: a request the batcher has
@@ -192,12 +189,10 @@ impl ServeConfig {
 
 /// Why a request could not be served.
 ///
-/// The variants split into *retryable* conditions — transient states a
-/// client should back off and retry ([`ServeError::retryable`] is `true`:
-/// [`Self::QueueFull`], [`Self::Overloaded`], [`Self::BatcherDown`],
-/// [`Self::DeadlineExceeded`]) — and terminal ones where a retry of the
-/// same request cannot help ([`Self::BadShape`], [`Self::ShutDown`],
-/// [`Self::Disconnected`]).
+/// [`Self::QueueFull`], [`Self::Overloaded`], [`Self::BatcherDown`] and
+/// [`Self::DeadlineExceeded`] are transient: the same request may succeed
+/// later. [`Self::BadShape`], [`Self::ShutDown`] and
+/// [`Self::Disconnected`] are terminal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// The submitted tensor's shape does not match the shape the server
@@ -213,12 +208,7 @@ pub enum ServeError {
     /// The queue is past [`ServeConfig::shed_threshold`] and the server
     /// is shedding load to protect the latency of requests it has
     /// already accepted.
-    Overloaded {
-        /// Rough estimate of when capacity should free up (current queue
-        /// depth in batches times the batch wait); a polite client backs
-        /// off at least this long.
-        retry_after: Duration,
-    },
+    Overloaded,
     /// The request waited past its deadline before the batcher dispatched
     /// it, and was expired rather than served late.
     DeadlineExceeded,
@@ -234,34 +224,6 @@ pub enum ServeError {
     Disconnected,
 }
 
-impl ServeError {
-    /// True for transient conditions where backing off and retrying the
-    /// same request can succeed: [`Self::QueueFull`],
-    /// [`Self::Overloaded`], [`Self::BatcherDown`] (the supervisor is
-    /// respawning the batcher) and [`Self::DeadlineExceeded`] (a fresh
-    /// attempt gets a fresh deadline). False for [`Self::BadShape`],
-    /// [`Self::ShutDown`] and [`Self::Disconnected`], where retrying
-    /// cannot change the outcome.
-    pub fn retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::QueueFull
-                | ServeError::Overloaded { .. }
-                | ServeError::BatcherDown
-                | ServeError::DeadlineExceeded
-        )
-    }
-
-    /// The server's backoff hint, when it gave one
-    /// ([`Self::Overloaded`]).
-    pub fn retry_after(&self) -> Option<Duration> {
-        match self {
-            ServeError::Overloaded { retry_after } => Some(*retry_after),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -269,9 +231,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "bad request shape: expected {expected:?}, got {got:?}")
             }
             ServeError::QueueFull => write!(f, "request queue is full"),
-            ServeError::Overloaded { retry_after } => {
-                write!(f, "server is shedding load; retry after {retry_after:?}")
-            }
+            ServeError::Overloaded => write!(f, "server is shedding load"),
             ServeError::DeadlineExceeded => write!(f, "request expired before dispatch"),
             ServeError::BatcherDown => write!(f, "batcher thread died; restarting"),
             ServeError::ShutDown => write!(f, "server is shut down"),
@@ -346,9 +306,9 @@ impl Request {
 impl Drop for Request {
     /// The never-hang guarantee: a request dropped without an explicit
     /// [`Request::reply`] — a batcher thread unwinding mid-batch, a
-    /// supervisor clearing the queue — resolves its [`Pending`] with the
-    /// retryable [`ServeError::BatcherDown`] instead of leaving the
-    /// client blocked forever.
+    /// supervisor clearing the queue — resolves its [`Pending`] with
+    /// [`ServeError::BatcherDown`] instead of leaving the client blocked
+    /// forever.
     fn drop(&mut self) {
         if let Some(tx) = self.tx.take() {
             // lint:allow(errprop) — the client may itself be gone; there
@@ -388,8 +348,8 @@ impl Pending {
     /// Blocks until the request resolves: the `[1, out...]` output row on
     /// success, or a typed [`ServeError`] if the request expired
     /// ([`ServeError::DeadlineExceeded`]) or the batcher died while it
-    /// was queued ([`ServeError::BatcherDown`] — retryable). An accepted
-    /// request *always* resolves; this cannot hang on a dead batcher.
+    /// was queued ([`ServeError::BatcherDown`]). An accepted request
+    /// *always* resolves; this cannot hang on a dead batcher.
     pub fn wait(self) -> Result<Tensor, ServeError> {
         match self.rx.recv() {
             Ok(outcome) => outcome,
@@ -485,13 +445,11 @@ impl Server {
             });
         }
         // Injected admission failure (`GANDEF_FAULT=io-fail:serve_submit:n`)
-        // presents as load shedding: the cleanest retryable refusal.
+        // presents as load shedding: the cleanest transient refusal.
         if io_point("serve_submit").is_err() {
             // lint:allow(atomics) — monotonic stats counter, see stats().
             self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded {
-                retry_after: self.shared.cfg.max_wait,
-            });
+            return Err(ServeError::Overloaded);
         }
         let mut batched_dims = Vec::with_capacity(1 + self.shared.example_dims.len());
         batched_dims.push(1);
@@ -509,15 +467,11 @@ impl Server {
             }
             if let Some(shed_at) = self.shared.cfg.shed_threshold {
                 if inner.queue.len() >= shed_at {
-                    let backlog_batches =
-                        (inner.queue.len() / self.shared.cfg.max_batch).max(1) as u32;
                     drop(inner);
                     // lint:allow(atomics) — monotonic stats counter, see
                     // stats().
                     self.shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    return Err(ServeError::Overloaded {
-                        retry_after: self.shared.cfg.max_wait.saturating_mul(backlog_batches),
-                    });
+                    return Err(ServeError::Overloaded);
                 }
             }
             let now = Instant::now();
@@ -538,44 +492,6 @@ impl Server {
     /// Convenience wrapper: [`Server::submit`] then [`Pending::wait`].
     pub fn classify(&self, x: Tensor) -> Result<Tensor, ServeError> {
         self.submit(x)?.wait()
-    }
-
-    /// [`Server::classify`] with client-side fault tolerance: on a
-    /// [retryable](ServeError::retryable) error, backs off with bounded
-    /// exponential backoff plus deterministic jitter (half the pause is
-    /// fixed, half uniform — desynchronizing a fleet of retrying clients)
-    /// and tries again, up to [`RetryPolicy::max_attempts`] total
-    /// attempts. An [`ServeError::Overloaded`] retry-after hint raises
-    /// the pause to at least the hint. Non-retryable errors and the final
-    /// attempt's error are returned as-is.
-    pub fn classify_with_retry(
-        &self,
-        x: Tensor,
-        policy: &RetryPolicy,
-    ) -> Result<Tensor, ServeError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut rng = Prng::new(policy.seed);
-        let mut backoff = policy.base;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let err = match self.classify(x.clone()) {
-                Ok(y) => return Ok(y),
-                Err(e) => e,
-            };
-            if !err.retryable() || attempt >= attempts {
-                return Err(err);
-            }
-            let mut pause = backoff.min(policy.cap);
-            if let Some(hint) = err.retry_after() {
-                pause = pause.max(hint);
-            }
-            let nanos = u64::try_from(pause.as_nanos()).unwrap_or(u64::MAX);
-            let half = (nanos / 2).max(1) as usize;
-            let jittered = nanos / 2 + rng.below(half) as u64;
-            std::thread::sleep(Duration::from_nanos(jittered));
-            backoff = backoff.saturating_mul(2);
-        }
     }
 
     /// Snapshot of the server's counters.
@@ -632,59 +548,6 @@ impl Drop for Server {
     }
 }
 
-/// Client-side retry tuning for [`Server::classify_with_retry`].
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts, counting the first try. Default 4.
-    pub max_attempts: usize,
-    /// Backoff before the first retry; doubles after every retry.
-    /// Default 1 ms.
-    pub base: Duration,
-    /// Upper bound on any single (pre-hint) backoff pause. Default
-    /// 100 ms.
-    pub cap: Duration,
-    /// Seed of the deterministic jitter stream; give each client its own
-    /// seed so their retries desynchronize.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(100),
-            seed: 0x5e71e,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Sets the total attempt budget (clamped to at least 1).
-    pub fn max_attempts(mut self, n: usize) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the initial backoff pause.
-    pub fn base(mut self, d: Duration) -> Self {
-        self.base = d;
-        self
-    }
-
-    /// Sets the backoff upper bound.
-    pub fn cap(mut self, d: Duration) -> Self {
-        self.cap = d;
-        self
-    }
-
-    /// Sets the jitter seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-}
-
 /// Keeps a batcher thread alive: respawns it after a panic (failing
 /// everything queued fast so no [`Pending`] ever hangs), exits when the
 /// batcher returns cleanly (shutdown drain complete).
@@ -702,7 +565,7 @@ fn supervisor_loop(shared: &Arc<Shared>) {
         // `GANDEF_FAULT=panic:serve_*` fault). Anything it had drained
         // into its batch already resolved via Request::drop during the
         // unwind; fail what is still queued the same way so clients see
-        // a prompt, retryable error instead of a stalled queue.
+        // a prompt error instead of a stalled queue.
         let stranded: Vec<Request> = lock(&shared.queue).queue.drain(..).collect();
         for req in stranded {
             req.reply(Err(ServeError::BatcherDown));
@@ -721,8 +584,8 @@ fn supervisor_loop(shared: &Arc<Shared>) {
 }
 
 /// Runs the `site` fault hook; on an injected I/O failure, fails every
-/// request in `batch` with the retryable [`ServeError::BatcherDown`] and
-/// returns `None` so the batcher skips the batch and keeps serving. An
+/// request in `batch` with [`ServeError::BatcherDown`] and returns
+/// `None` so the batcher skips the batch and keeps serving. An
 /// injected *panic* at the site unwinds instead, resolving the batch via
 /// `Request::drop` and handing control to the supervisor.
 fn fault_gate(shared: &Shared, site: &str, batch: Vec<Request>) -> Option<Vec<Request>> {
@@ -1036,7 +899,7 @@ mod tests {
     }
 
     #[test]
-    fn shed_threshold_rejects_with_a_retry_hint() {
+    fn shed_threshold_rejects_with_overloaded() {
         let (model, params) = toy(5);
         let cfg = ServeConfig::default()
             .max_batch(1000)
@@ -1047,9 +910,8 @@ mod tests {
         let p1 = server.submit(Tensor::zeros(&[6])).unwrap();
         let p2 = server.submit(Tensor::zeros(&[6])).unwrap();
         let err = server.submit(Tensor::zeros(&[6])).unwrap_err();
-        assert!(matches!(err, ServeError::Overloaded { .. }));
-        assert!(err.retryable());
-        assert!(err.retry_after().unwrap() > Duration::ZERO);
+        assert_eq!(err, ServeError::Overloaded);
+        assert_eq!(server.stats().shed, 1);
         drop(server);
         assert!(p1.wait().is_ok());
         assert!(p2.wait().is_ok());
@@ -1084,67 +946,20 @@ mod tests {
     }
 
     #[test]
-    fn retryability_classification_covers_every_variant() {
-        for e in [
-            ServeError::QueueFull,
-            ServeError::Overloaded {
-                retry_after: Duration::from_millis(1),
-            },
-            ServeError::BatcherDown,
-            ServeError::DeadlineExceeded,
-        ] {
-            assert!(e.retryable(), "{e} must be retryable");
-        }
-        for e in [
-            ServeError::BadShape {
-                expected: vec![6],
-                got: vec![5],
-            },
-            ServeError::ShutDown,
-            ServeError::Disconnected,
-        ] {
-            assert!(!e.retryable(), "{e} must not be retryable");
-        }
-        let hint = Duration::from_millis(7);
-        assert_eq!(
-            ServeError::Overloaded { retry_after: hint }.retry_after(),
-            Some(hint)
-        );
-        assert_eq!(ServeError::QueueFull.retry_after(), None);
-    }
-
-    #[test]
-    fn retry_gives_up_immediately_on_non_retryable_errors() {
-        let (model, params) = toy(7);
-        let mut server = Server::new(model, params, vec![6], ServeConfig::default());
-        server.stop();
-        let t0 = Instant::now();
-        let err = server
-            .classify_with_retry(
-                Tensor::zeros(&[6]),
-                &RetryPolicy::default().base(Duration::from_secs(1)),
-            )
-            .unwrap_err();
-        assert_eq!(err, ServeError::ShutDown);
-        // No backoff pause was taken: ShutDown is terminal.
-        assert!(t0.elapsed() < Duration::from_millis(500));
-    }
-
-    #[test]
     fn retry_recovers_from_transient_shedding() {
         let (model, params) = toy(8);
-        // Queue admission fails once (injected), then succeeds: the retry
-        // helper absorbs the transient Overloaded.
+        // Queue admission fails once (injected), then succeeds: a client
+        // that tries again after the transient Overloaded is served.
         let spec = gandef_nn::fault::FaultSpec::parse("io-fail:serve_submit:1").unwrap();
         let server = Server::new(model, params, vec![6], ServeConfig::default());
-        let y = gandef_nn::fault::with_fault(spec, || {
-            server.classify_with_retry(
-                Tensor::zeros(&[6]),
-                &RetryPolicy::default().base(Duration::from_micros(100)),
+        let (first, second) = gandef_nn::fault::with_fault(spec, || {
+            (
+                server.classify(Tensor::zeros(&[6])),
+                server.classify(Tensor::zeros(&[6])),
             )
-        })
-        .unwrap();
-        assert_eq!(y.shape().dims(), &[1, 4]);
+        });
+        assert_eq!(first.unwrap_err(), ServeError::Overloaded);
+        assert_eq!(second.unwrap().shape().dims(), &[1, 4]);
         let stats = server.shutdown();
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.requests, 1);

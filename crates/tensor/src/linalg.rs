@@ -881,6 +881,14 @@ mod tests {
         let got = with_accum(Accum::F64, || matmul(&a, &b));
         assert_eq!(got.as_slice(), naive_matmul_f64(&a, &b).as_slice());
 
+        // ...the tiny path with a long k (2·64·4 = 512 ≤ TINY_THRESHOLD),
+        // where rounding the f64 accumulator to f32 after every step, not
+        // once at the end, changes the bits (at k = 3 it does not)...
+        let a = pseudo(&[2, 64], 24);
+        let b = pseudo(&[64, 4], 25);
+        let got = with_accum(Accum::F64, || matmul(&a, &b));
+        assert_eq!(got.as_slice(), naive_matmul_f64(&a, &b).as_slice());
+
         // ...packed serial path with ragged tiles and multiple KC blocks
         // (k = 300 > KC)...
         let a = pseudo(&[37, 300], 14);

@@ -310,11 +310,6 @@ impl Tensor {
         self.map(|v| v * alpha)
     }
 
-    /// Adds `alpha` to every element.
-    pub fn add_scalar(&self, alpha: f32) -> Tensor {
-        self.map(|v| v + alpha)
-    }
-
     // ---------------------------------------------------------------------
     // Binary elementwise (broadcasting)
     // ---------------------------------------------------------------------
@@ -362,15 +357,6 @@ impl Tensor {
     /// Panics if the shapes are not broadcast-compatible.
     pub fn maximum(&self, other: &Tensor) -> Tensor {
         self.broadcast_zip(other, f32::max)
-    }
-
-    /// Elementwise minimum with broadcasting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are not broadcast-compatible.
-    pub fn minimum(&self, other: &Tensor) -> Tensor {
-        self.broadcast_zip(other, f32::min)
     }
 
     /// Applies a binary function elementwise with broadcasting.

@@ -13,7 +13,9 @@
 # inside the marker).
 #
 # Binaries are built once up front and then invoked directly, so the run is
-# immune to concurrent source edits.
+# immune to concurrent source edits. A failed harness does not stop the
+# run; at the end the script names every failed harness and exits 1, and
+# prints ALL_EXPERIMENTS_DONE only when every harness succeeded.
 set -u
 cd "$(dirname "$0")"
 mkdir -p results
@@ -25,10 +27,20 @@ if [ "${1:-}" = "--fresh" ]; then
 fi
 flags="$*"
 
+harnesses="table3 table4 fig5_time fig5_convergence gamma_ablation
+           prop1_entropy transfer_attack logit_signature"
+
 cargo build --release -p gandef-bench || exit 1
-for b in table3 table4 fig5_time fig5_convergence gamma_ablation \
-         prop1_entropy disc_capacity augmentation_ablation \
-         transfer_attack logit_signature; do
+# A deleted or renamed harness fails here, before the first long run.
+for b in $harnesses; do
+  if [ ! -x "./target/release/$b" ]; then
+    echo "=== missing harness binary target/release/$b ==="
+    exit 1
+  fi
+done
+
+failed=""
+for b in $harnesses; do
   marker="results/${b}.done"
   if [ -f "$marker" ] && [ "$(cat "$marker")" = "$flags" ]; then
     echo "=== $b already done (rm $marker to rerun) ==="
@@ -47,6 +59,11 @@ for b in table3 table4 fig5_time fig5_convergence gamma_ablation \
     rm -rf "results/ckpt-$b"
   else
     echo "=== $b FAILED — no marker written, rerun resumes here ==="
+    failed="$failed $b"
   fi
 done
+if [ -n "$failed" ]; then
+  echo "=== FAILED harnesses:$failed ==="
+  exit 1
+fi
 echo "ALL_EXPERIMENTS_DONE $(date +%H:%M:%S)"

@@ -197,11 +197,7 @@ fn divergence_guard_rolls_back_halves_lr_and_eventually_stops() {
     let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits);
     cfg.epochs = 6;
     cfg.lr = f32::MAX;
-    cfg.guard = GuardPolicy {
-        max_retries: 2,
-        spike_factor: 4.0,
-        lr_backoff: 0.5,
-    };
+    cfg.guard = GuardPolicy { max_retries: 2 };
     let mut rng = Prng::new(3);
     let mut net = mlp(&mut rng);
     let report = Vanilla.train(&mut net, &ds, &cfg, &mut rng);
@@ -269,11 +265,7 @@ fn nan_batch_trips_the_guard_mid_epoch() {
     let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits);
     cfg.epochs = 4;
     cfg.lr = 0.003;
-    cfg.guard = GuardPolicy {
-        max_retries: 2,
-        spike_factor: 4.0,
-        lr_backoff: 0.5,
-    };
+    cfg.guard = GuardPolicy { max_retries: 2 };
     let mut rng = Prng::new(3);
     // tanh hidden layer: tanh(NaN) = NaN, so the poisoned pixel reaches the
     // loss (ReLU's `max(NaN, 0)` would silently flush it to zero).
@@ -392,10 +384,7 @@ fn guard_disabled_records_divergence_untouched() {
     let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits);
     cfg.epochs = 3;
     cfg.lr = f32::MAX;
-    cfg.guard = GuardPolicy {
-        max_retries: 0,
-        ..GuardPolicy::default()
-    };
+    cfg.guard = GuardPolicy { max_retries: 0 };
     let mut rng = Prng::new(3);
     let mut net = mlp(&mut rng);
     let report = Vanilla.train(&mut net, &ds, &cfg, &mut rng);
@@ -412,17 +401,17 @@ fn guard_disabled_records_divergence_untouched() {
 }
 
 #[test]
-fn checkpoint_every_n_only_writes_on_schedule() {
+fn final_checkpoint_captures_the_final_weights() {
     with_accum(Accum::F64, || {
         let ds = digits(37);
-        let dir = temp_dir("every");
+        let dir = temp_dir("final");
         let mut cfg = f64_cfg(5);
-        cfg.checkpoint = Some(CheckpointPolicy::new(&dir).every(2));
+        cfg.checkpoint = Some(CheckpointPolicy::new(&dir));
         let mut rng = Prng::new(4);
         let mut net = mlp(&mut rng);
         Vanilla.train(&mut net, &ds, &cfg, &mut rng);
-        // Written at epochs 2, 4 and (final) 5 — the state on disk must be
-        // the final one.
+        // Written after every epoch — the state on disk must be the final
+        // one.
         let state = RunState::load(&dir).unwrap();
         assert_eq!(state.epoch, 5);
         assert_eq!(
@@ -452,11 +441,7 @@ fn nan_batch_rolls_back_both_gan_networks() {
     let mut cfg = TrainConfig::quick(DatasetKind::SynthDigits).with_gamma(0.5);
     cfg.epochs = 4;
     cfg.lr = 0.003;
-    cfg.guard = GuardPolicy {
-        max_retries: 2,
-        spike_factor: 4.0,
-        lr_backoff: 0.5,
-    };
+    cfg.guard = GuardPolicy { max_retries: 2 };
     let mut rng = Prng::new(3);
     use zk_gandef_repro::nn::layer::{Act, Dense, Flatten, Layer, Sequential};
     let model = Sequential::new(vec![
