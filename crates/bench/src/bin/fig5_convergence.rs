@@ -14,7 +14,7 @@
 //! cargo run --release -p gandef-bench --bin fig5_convergence [-- --smoke ...]
 //! ```
 
-use gandef_bench::{resumed_epoch, train_defense, HarnessOpts};
+use gandef_bench::{train_defense, HarnessOpts};
 use gandef_data::DatasetKind;
 use zk_gandef::defense::{Clp, Cls, Defense};
 use zk_gandef::report::loss_trace_csv;
@@ -45,12 +45,8 @@ fn main() {
             } else {
                 "converged"
             };
-            let note = match resumed_epoch(&report) {
-                Some(epoch) => format!(" [resumed at epoch {epoch}]"),
-                None => String::new(),
-            };
             println!(
-                "{label}: first {:.3} last {:.3} -> {verdict} (test acc {:.2}%){note}",
+                "{label}: first {:.3} last {:.3} -> {verdict} (test acc {:.2}%)",
                 report.epoch_losses.first().copied().unwrap_or(f32::NAN),
                 report.final_loss(),
                 net.accuracy_on(&ds.test_x, &ds.test_y) * 100.0

@@ -5,9 +5,7 @@
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
-//! | `table3` | Table III + Figure 4 (accuracy grid) |
-//! | `table4` | Table IV (DeepFool / CW generalizability) |
-//! | `fig5_time` | Figure 5 left & middle (training time/epoch) |
+//! | `table3` | Table III + Figure 4 (accuracy grid), Table IV (DeepFool / CW generalizability) and Figure 5 left & middle (training time/epoch), from one training run per cell |
 //! | `fig5_convergence` | Figure 5 right (CLS loss traces) |
 //! | `gamma_ablation` | §III-D γ trade-off (extension) |
 //! | `prop1_entropy` | Proposition-1 diagnostics (extension) |
@@ -27,11 +25,14 @@
 //! The paper-artifact binaries accept `--paper-scale` (paper epoch
 //! counts), `--train N`, `--test N`, `--seed S` and `--out DIR` (default
 //! `results/`), print their tables to stdout, and write machine-readable
-//! CSV/markdown under the output directory. The long-running training binaries (`table3`,
-//! `table4`, `fig5_convergence`) additionally accept `--resume DIR`: every
-//! training run then checkpoints into its own tagged subdirectory of `DIR`
-//! after each epoch and a rerun picks up at the last completed epoch
-//! instead of retraining from scratch (see [`HarnessOpts::attach_resume`]).
+//! CSV/markdown under the output directory. The long-running training
+//! binaries (`table3`, `fig5_convergence`) additionally accept `--resume
+//! DIR`: every training run then checkpoints into its own tagged
+//! subdirectory of `DIR` after each epoch and a rerun picks up at the last
+//! completed epoch instead of retraining from scratch (see
+//! [`HarnessOpts::attach_resume`]). A resumed run's report still holds
+//! every epoch's loss and seconds, so its timings and traces cover the
+//! whole run.
 
 #![deny(missing_docs)]
 
@@ -232,17 +233,6 @@ pub fn train_defense(
     let mut net = zk_gandef::classifier_for(ds.kind, &mut rng);
     let report = defense.train(&mut net, ds, cfg, &mut rng);
     (net, report)
-}
-
-/// The epoch a report resumed from, if it did — for `[resumed at epoch N]`
-/// annotations next to timing numbers (a resumed run's wall-clock covers
-/// only the freshly trained epochs, so the annotation keeps the printed
-/// timings honest).
-pub fn resumed_epoch(report: &zk_gandef::defense::TrainReport) -> Option<usize> {
-    report.events.iter().find_map(|e| match e {
-        zk_gandef::defense::RunEvent::Resumed { epoch } => Some(*epoch),
-        _ => None,
-    })
 }
 
 #[cfg(test)]

@@ -112,7 +112,8 @@ pub enum RunEvent {
 pub struct TrainReport {
     /// Defense display name.
     pub defense: &'static str,
-    /// Wall-clock seconds per epoch.
+    /// Wall-clock seconds per epoch. A resumed run's earlier epochs carry
+    /// the seconds the process that trained them measured.
     pub epoch_seconds: Vec<f64>,
     /// Mean training loss per epoch (whatever loss the defense minimizes).
     pub epoch_losses: Vec<f32>,
@@ -135,19 +136,18 @@ impl TrainReport {
         }
     }
 
-    /// Mean wall-clock seconds per epoch — the Figure-5 metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epochs were recorded.
-    pub fn mean_epoch_seconds(&self) -> f64 {
-        assert!(!self.epoch_seconds.is_empty(), "no epochs recorded");
-        self.epoch_seconds.iter().sum::<f64>() / self.epoch_seconds.len() as f64
+    /// Mean wall-clock seconds per epoch — the Figure-5 metric. `None`
+    /// when no epoch was recorded (the divergence guard stopped the run
+    /// before its first healthy epoch).
+    pub fn mean_epoch_seconds(&self) -> Option<f64> {
+        let n = self.epoch_seconds.len();
+        (n > 0).then(|| self.total_seconds() / n as f64)
     }
 
-    /// Total wall-clock training seconds.
+    /// Total wall-clock training seconds (`0.0`, not `f64`'s empty sum
+    /// `-0.0`, when no epoch was recorded).
     pub fn total_seconds(&self) -> f64 {
-        self.epoch_seconds.iter().sum()
+        self.epoch_seconds.iter().fold(0.0, |total, s| total + s)
     }
 
     /// Final epoch's mean loss (NaN if training diverged — the CLP failure
@@ -379,7 +379,7 @@ mod tests {
         let mut r = TrainReport::new("X");
         r.epoch_seconds = vec![1.0, 3.0];
         r.epoch_losses = vec![2.0, 1.0];
-        assert_eq!(r.mean_epoch_seconds(), 2.0);
+        assert_eq!(r.mean_epoch_seconds(), Some(2.0));
         assert_eq!(r.total_seconds(), 4.0);
         assert_eq!(r.final_loss(), 1.0);
         assert!(!r.failed_to_converge(0.05));

@@ -15,9 +15,11 @@
 //! proves this across processes (kill via `GANDEF_FAULT=kill:epoch:N`);
 //! `tests/resume.rs` proves it in-process for every trainer family.
 //!
-//! Resume replays nothing: the report's loss/seconds traces cover only
-//! the epochs the current process ran. Fingerprint-level equality of the
-//! *weights* is the contract, not equality of the report.
+//! The run state also carries each completed epoch's loss and seconds,
+//! which resume restores into the report: a resumed run reports every
+//! epoch of the run, the earlier ones as the process that trained them
+//! timed them, and its divergence guard compares the first resumed epoch
+//! against the last saved loss, as a straight run would.
 
 use super::{RunEvent, TrainReport};
 use crate::config::GuardPolicy;
@@ -44,10 +46,12 @@ pub(super) struct RunParts<'a> {
 }
 
 impl RunParts<'_> {
-    /// Snapshots every piece into an owned [`RunState`] at `epoch`.
-    fn capture(&self, epoch: usize) -> RunState {
+    /// Snapshots every piece, with the report's per-epoch history, into an
+    /// owned [`RunState`]. The report holds one entry per completed epoch,
+    /// so its length is the snapshot's epoch.
+    fn capture(&self, report: &TrainReport) -> RunState {
         RunState {
-            epoch: epoch as u64,
+            epoch: report.epoch_losses.len() as u64,
             accum: gandef_tensor::accum::accum(),
             rng: self.rng.state(),
             stores: self
@@ -60,6 +64,8 @@ impl RunParts<'_> {
                 .iter()
                 .map(|(n, o)| (n.to_string(), o.state()))
                 .collect(),
+            epoch_losses: report.epoch_losses.clone(),
+            epoch_seconds: report.epoch_seconds.clone(),
         }
     }
 
@@ -131,7 +137,8 @@ pub(super) struct RunDriver {
 impl RunDriver {
     /// Starts (or resumes) a run. Returns the driver and the epoch index
     /// to start training at — 0 for a fresh run, the saved epoch when a
-    /// valid checkpoint was resumed.
+    /// valid checkpoint was resumed. A resume restores the saved per-epoch
+    /// history into `report` and its last loss as the spike baseline.
     ///
     /// A missing run state starts fresh silently; an unreadable,
     /// corrupt or mismatched one starts fresh *loudly* (a
@@ -144,7 +151,6 @@ impl RunDriver {
         report: &mut TrainReport,
     ) -> (RunDriver, usize) {
         let policy = cfg.checkpoint.as_ref();
-        let mut start_epoch = 0usize;
         if let Some(p) = policy.filter(|p| p.resume) {
             match RunState::load_any(&p.dir) {
                 Ok((state, fallback)) => {
@@ -158,8 +164,11 @@ impl RunDriver {
                     match Self::check_resumable(&state, cfg) {
                         Ok(()) => match parts.apply(&state) {
                             Ok(()) => {
-                                start_epoch = state.epoch as usize;
-                                report.events.push(RunEvent::Resumed { epoch: start_epoch });
+                                report.epoch_losses = state.epoch_losses;
+                                report.epoch_seconds = state.epoch_seconds;
+                                report.events.push(RunEvent::Resumed {
+                                    epoch: report.epoch_losses.len(),
+                                });
                             }
                             Err(e) => Self::resume_failed(report, &p.dir, &e),
                         },
@@ -176,10 +185,10 @@ impl RunDriver {
             keep: policy.map_or(1, |p| p.keep),
             retries_left: guard.max_retries,
             guard,
-            last_good: parts.capture(start_epoch),
-            prev_loss: None,
+            last_good: parts.capture(report),
+            prev_loss: report.epoch_losses.last().copied(),
         };
-        (driver, start_epoch)
+        (driver, report.epoch_losses.len())
     }
 
     fn resume_failed(report: &mut TrainReport, dir: &std::path::Path, e: &CheckpointError) {
@@ -282,7 +291,7 @@ impl RunDriver {
         report.epoch_losses.push(loss);
         self.prev_loss = Some(loss);
         let completed = epoch + 1;
-        self.last_good = parts.capture(completed);
+        self.last_good = parts.capture(report);
         if let Some(dir) = &self.dir {
             if let Err(e) = Self::write_checkpoint(dir, &self.last_good, self.keep) {
                 eprintln!(
@@ -362,12 +371,15 @@ mod tests {
     use gandef_data::DatasetKind;
 
     fn mini_parts(rng: &mut Prng, params: &mut Params, opt: &mut Adam) -> RunState {
+        let mut report = TrainReport::new("test");
+        report.epoch_losses = vec![2.0, 1.5, 1.0];
+        report.epoch_seconds = vec![0.5; 3];
         RunParts {
             stores: vec![("model", params)],
             optims: vec![("opt", opt)],
             rng,
         }
-        .capture(3)
+        .capture(&report)
     }
 
     #[test]
@@ -509,6 +521,46 @@ mod tests {
             "a disabled guard must leave divergent batches alone"
         );
         assert!(report.events.is_empty());
+    }
+
+    #[test]
+    fn resume_restores_history_and_spike_baseline() {
+        let dir = std::env::temp_dir().join(format!("gandef-driver-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut cfg = crate::TrainConfig::quick(DatasetKind::SynthDigits).with_checkpoint(&dir);
+        cfg.epochs = 4;
+        let mut rng = Prng::new(4);
+        let mut params = Params::new();
+        params.insert("w", rng.uniform_tensor(&[2], -1.0, 1.0));
+        let mut opt = Adam::new(0.01);
+        mini_parts(&mut rng, &mut params, &mut opt)
+            .save(&dir)
+            .unwrap();
+
+        let mut report = TrainReport::new("test");
+        let (driver, start) = RunDriver::begin(
+            &cfg,
+            RunParts {
+                stores: vec![("model", &mut params)],
+                optims: vec![("opt", &mut opt)],
+                rng: &mut rng,
+            },
+            &mut report,
+        );
+        assert_eq!(start, 3);
+        assert_eq!(report.events, vec![RunEvent::Resumed { epoch: 3 }]);
+        assert_eq!(report.epoch_losses, vec![2.0, 1.5, 1.0]);
+        assert_eq!(report.epoch_seconds, vec![0.5; 3]);
+        assert_eq!(
+            driver.prev_loss,
+            Some(1.0),
+            "last saved loss is the baseline"
+        );
+        assert!(
+            driver.is_divergent(9.1),
+            "a spike past 1 + 4·2 trips the guard"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,22 +3,58 @@
 
 use crate::defense::TrainReport;
 
-/// Renders Figure 5's left/middle panels as a markdown table: training
-/// time per epoch for each defense.
-pub fn training_time_table(title: &str, reports: &[&TrainReport]) -> String {
-    let mut out = format!(
-        "\n### {title}\n\n| Defense | s/epoch | total s | final loss |\n|---|---|---|---|\n"
+/// Renders one panel of Figure 5 (left & middle) for `dataset`: a
+/// markdown table of each defense's training time per epoch, then
+/// ZK-GanDef's training-time reduction against PGD-Adv beside the paper's
+/// figure `paper_reduction`; and the CSV rows
+/// `dataset,defense,seconds_per_epoch`. Returns `(markdown, csv)`.
+///
+/// A report with no recorded epoch (the divergence guard stopped it
+/// before its first healthy one) reads `n/a`, and so does a reduction
+/// missing either side.
+pub fn training_time_panel(
+    dataset: &str,
+    reports: &[&TrainReport],
+    paper_reduction: &str,
+) -> (String, String) {
+    let mean = |name: &str| {
+        reports
+            .iter()
+            .find(|r| r.defense == name)
+            .and_then(|r| r.mean_epoch_seconds())
+    };
+    let reduction = match (mean("ZK-GanDef"), mean("PGD-Adv")) {
+        (Some(zk), Some(pgd_adv)) => format!("{:.2}%", reduction_percent(zk, pgd_adv)),
+        _ => "n/a".to_string(),
+    };
+    let mut md = format!(
+        "\n### {dataset}\n\n| Defense | s/epoch | total s | final loss |\n|---|---|---|---|\n"
     );
     for r in reports {
-        out.push_str(&format!(
-            "| {} | {:.2} | {:.1} | {:.3} |\n",
+        md.push_str(&format!(
+            "| {} | {} | {:.1} | {:.3} |\n",
             r.defense,
-            r.mean_epoch_seconds(),
+            seconds_per_epoch(r, 2),
             r.total_seconds(),
             r.final_loss()
         ));
     }
-    out
+    md.push_str(&format!(
+        "\nZK-GanDef vs PGD-Adv on {dataset}: {reduction} training-time reduction \
+         (paper: {paper_reduction}%)\n"
+    ));
+    let csv = reports
+        .iter()
+        .map(|r| format!("{dataset},{},{}\n", r.defense, seconds_per_epoch(r, 4)))
+        .collect();
+    (md, csv)
+}
+
+/// A report's mean seconds per epoch to `decimals` places, or `n/a`.
+fn seconds_per_epoch(report: &TrainReport, decimals: usize) -> String {
+    report
+        .mean_epoch_seconds()
+        .map_or_else(|| "n/a".to_string(), |s| format!("{s:.decimals$}"))
 }
 
 /// Renders loss-convergence traces (Figure 5 right) as CSV: one column per
@@ -67,9 +103,35 @@ mod tests {
     fn time_table_lists_all_defenses() {
         let a = report("ZK-GanDef", &[1.0, 1.2], &[2.0, 1.0]);
         let b = report("PGD-Adv", &[10.0, 10.4], &[2.0, 0.9]);
-        let md = training_time_table("28x28", &[&a, &b]);
+        let (md, csv) = training_time_panel("28x28", &[&a, &b], "92.11");
+        assert!(md.starts_with("\n### 28x28\n"), "{md}");
         assert!(md.contains("| ZK-GanDef | 1.10 |"));
         assert!(md.contains("| PGD-Adv | 10.20 |"));
+        assert_eq!(csv, "28x28,ZK-GanDef,1.1000\n28x28,PGD-Adv,10.2000\n");
+    }
+
+    #[test]
+    fn time_panel_renders_a_report_without_epochs_as_na() {
+        let zk = report("ZK-GanDef", &[1.0, 1.2], &[2.0, 1.0]);
+        let stopped = TrainReport::new("PGD-Adv");
+        let (md, csv) = training_time_panel("SynthDigits", &[&zk, &stopped], "92.11");
+        assert!(md.contains("| ZK-GanDef | 1.10 |"), "{md}");
+        assert!(md.contains("| PGD-Adv | n/a | 0.0 | NaN |"), "{md}");
+        assert!(
+            md.contains("on SynthDigits: n/a training-time reduction (paper: 92.11%)"),
+            "{md}"
+        );
+        assert_eq!(
+            csv,
+            "SynthDigits,ZK-GanDef,1.1000\nSynthDigits,PGD-Adv,n/a\n"
+        );
+
+        let pgd = report("PGD-Adv", &[10.0, 12.0], &[2.0, 1.0]);
+        let (md, _) = training_time_panel("SynthCifar", &[&zk, &pgd], "51.53");
+        assert!(
+            md.ends_with("on SynthCifar: 90.00% training-time reduction (paper: 51.53%)\n"),
+            "{md}"
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! [`RunState`] bundles every one of those, so a run killed after epoch
 //! *k* and resumed produces — under the deterministic f64 accumulation
 //! mode — exactly the weights a straight run would have produced. CI
-//! proves that with a cross-process oracle (`scripts/ci.sh`).
+//! proves that with a cross-process oracle (`scripts/ci.sh`). It also
+//! carries each completed epoch's loss and seconds, so a resumed run
+//! reports the whole run's history, not just the epochs it trained.
 //!
-//! The on-disk layout (version 1, all integers little-endian):
+//! The on-disk layout (version 2, all integers little-endian):
 //!
 //! ```text
 //! magic "GNRS" | version u32 | epoch u64 | accum u32 (1 f32, 2 f64)
@@ -18,8 +20,12 @@
 //! optim count u32 | per optim: name | lr f32-bits u32 | t u64
 //!                 | moment count u32 | per moment: flag u32 [, m tensor]
 //!                                    | flag u32 [, v tensor]
+//! per completed epoch: loss f32-bits u32 | seconds f64-bits u64
 //! file CRC-32 u32
 //! ```
+//!
+//! Version 1 lacked the per-epoch history; a version-1 file is refused
+//! with [`CheckpointError::Format`], and the run starts fresh.
 //!
 //! Strings and tensors use the shared wire forms of [`crate::serialize`]'s
 //! GNDF container; writes go through the same atomic
@@ -35,7 +41,7 @@ use gandef_tensor::accum::Accum;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"GNRS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Everything needed to continue a training run from an epoch boundary.
 #[derive(Clone, Debug)]
@@ -54,6 +60,10 @@ pub struct RunState {
     pub stores: Vec<(String, Params)>,
     /// Named optimizer states, parallel to the stores that they update.
     pub optims: Vec<(String, AdamState)>,
+    /// Mean training loss of each completed epoch (`epoch` entries).
+    pub epoch_losses: Vec<f32>,
+    /// Wall-clock seconds of each completed epoch (`epoch` entries).
+    pub epoch_seconds: Vec<f64>,
 }
 
 impl RunState {
@@ -81,7 +91,8 @@ impl RunState {
     /// # Errors
     ///
     /// [`CheckpointError::Format`] if a count or tensor field exceeds the
-    /// u32 wire range.
+    /// u32 wire range, or the history does not hold one entry per
+    /// completed epoch.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut enc = Enc::new();
         enc.put_bytes(MAGIC);
@@ -127,6 +138,18 @@ impl RunState {
                     }
                 }
             }
+        }
+        let epochs = self.epoch as usize;
+        if self.epoch_losses.len() != epochs || self.epoch_seconds.len() != epochs {
+            return Err(CheckpointError::Format(format!(
+                "history holds {} losses and {} timings for {epochs} epochs",
+                self.epoch_losses.len(),
+                self.epoch_seconds.len()
+            )));
+        }
+        for (loss, secs) in self.epoch_losses.iter().zip(&self.epoch_seconds) {
+            enc.put_u32(loss.to_bits());
+            enc.put_u64(secs.to_bits());
         }
         let crc = crc32(enc.bytes());
         enc.put_u32(crc);
@@ -245,6 +268,11 @@ impl RunState {
             }
             optims.push((name, AdamState { lr, t, m, v }));
         }
+        let (mut epoch_losses, mut epoch_seconds) = (Vec::new(), Vec::new());
+        for _ in 0..epoch {
+            epoch_losses.push(f32::from_bits(cur.get_u32()?));
+            epoch_seconds.push(f64::from_bits(cur.get_u64()?));
+        }
         if cur.remaining() != 4 {
             return Err(CheckpointError::Format(format!(
                 "{} unexpected trailing bytes",
@@ -257,6 +285,8 @@ impl RunState {
             rng,
             stores,
             optims,
+            epoch_losses,
+            epoch_seconds,
         })
     }
 
@@ -448,11 +478,29 @@ mod tests {
             rng: rng.state(),
             stores: vec![("model".into(), model), ("disc".into(), disc)],
             optims: vec![("opt_c".into(), opt)],
+            epoch_losses: vec![2.3, 1.9, 1.5, 1.2, 1.0, 0.9, 0.85],
+            epoch_seconds: vec![1.5, 1.25, 1.0, 1.0, 0.75, 1.0, 1.0],
         }
+    }
+
+    /// `state` as of `epoch` completed epochs, history truncated to match.
+    fn at_epoch(mut state: RunState, epoch: u64) -> RunState {
+        state.epoch = epoch;
+        state.epoch_losses.truncate(epoch as usize);
+        state.epoch_seconds.truncate(epoch as usize);
+        state
     }
 
     fn assert_states_equal(a: &RunState, b: &RunState) {
         assert_eq!(a.epoch, b.epoch);
+        let bits = |s: &RunState| -> Vec<(u32, u64)> {
+            s.epoch_losses
+                .iter()
+                .zip(&s.epoch_seconds)
+                .map(|(l, t)| (l.to_bits(), t.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "per-epoch history");
         assert_eq!(a.accum, b.accum);
         assert_eq!(a.rng, b.rng);
         assert_eq!(a.stores.len(), b.stores.len());
@@ -517,6 +565,38 @@ mod tests {
     }
 
     #[test]
+    fn version_1_state_is_a_format_error() {
+        // A genuine version-1 file: today's bytes without the per-epoch
+        // history, stamped version 1, checksum recomputed. Resuming from
+        // it would report a history shorter than its epoch count.
+        let state = sample_state();
+        let v2 = state.to_bytes().unwrap();
+        let history = state.epoch as usize * (4 + 8);
+        let mut v1 = v2[..v2.len() - 4 - history].to_vec();
+        v1[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&1u32.to_le_bytes());
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        match RunState::from_bytes(&v1) {
+            Err(CheckpointError::Format(msg)) => {
+                assert!(msg.contains("version 1"), "{msg}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn history_must_hold_one_entry_per_epoch() {
+        let mut short = sample_state();
+        short.epoch_seconds.pop();
+        let err = short.to_bytes().unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+        let mut long = sample_state();
+        long.epoch -= 1;
+        let err = long.to_bytes().unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(_)), "{err}");
+    }
+
+    #[test]
     fn save_load_roundtrip_via_directory() {
         let dir = std::env::temp_dir().join(format!("gnrs-{}", std::process::id()));
         let state = sample_state();
@@ -530,10 +610,10 @@ mod tests {
     fn rotation_keeps_last_n_with_manifest_and_fallback() {
         let dir = std::env::temp_dir().join(format!("gnrs-rot-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let mut state = sample_state();
         for epoch in 1..=5u64 {
-            state.epoch = epoch;
-            state.save_rotated(&dir, 3).unwrap();
+            at_epoch(sample_state(), epoch)
+                .save_rotated(&dir, 3)
+                .unwrap();
         }
         let (back, from) = RunState::load_any(&dir).unwrap();
         assert_eq!(back.epoch, 5);

@@ -8,13 +8,13 @@
 //!
 //! With `--resume DIR` each setting checkpoints into its own
 //! subdirectory of `DIR` after every epoch and picks up where it left
-//! off if the process died mid-study — kill it halfway and rerun to see
-//! the `resumed at epoch N` annotations (the loss rows then cover only
-//! the freshly trained epochs).
+//! off if the process died mid-study — kill it halfway and rerun: the
+//! loss rows still cover every epoch, the checkpoint carrying the ones
+//! trained before the kill.
 
 use std::path::PathBuf;
 use zk_gandef_repro::data::{generate, DatasetKind, GenSpec};
-use zk_gandef_repro::defense::defense::{Cls, Defense, RunEvent};
+use zk_gandef_repro::defense::defense::{Cls, Defense};
 use zk_gandef_repro::defense::TrainConfig;
 use zk_gandef_repro::nn::{zoo, Net};
 use zk_gandef_repro::tensor::rng::Prng;
@@ -86,28 +86,13 @@ fn main() {
         let mut rng = Prng::new(0);
         let mut net = Net::new(zoo::allcnn(3, 0.2), &mut rng);
         let report = Cls.train(&mut net, &ds, &cfg, &mut rng);
-        let resumed = report.events.iter().find_map(|e| match e {
-            RunEvent::Resumed { epoch } => Some(*epoch),
-            _ => None,
-        });
-        if resumed == Some(cfg.epochs) {
-            println!(
-                "σ={sigma:<4} λ={lambda:<5}  (already complete — resumed at epoch {})",
-                cfg.epochs
-            );
-            continue;
-        }
         let verdict = if report.failed_to_converge(0.10) {
             "does NOT converge"
         } else {
             "converges"
         };
-        let note = match resumed {
-            Some(epoch) => format!("  [resumed at epoch {epoch}]"),
-            None => String::new(),
-        };
         println!(
-            "σ={sigma:<4} λ={lambda:<5}  {}  first {:.2} → last {:.2}  ({verdict}){note}",
+            "σ={sigma:<4} λ={lambda:<5}  {}  first {:.2} → last {:.2}  ({verdict})",
             spark(&report.epoch_losses),
             report.epoch_losses.first().copied().unwrap_or(f32::NAN),
             report.final_loss()

@@ -50,7 +50,7 @@ fn main() {
             report.defense,
             clean * 100.0,
             robust * 100.0,
-            report.mean_epoch_seconds(),
+            report.mean_epoch_seconds().unwrap_or(f64::NAN),
             if report.failed_to_converge(0.10) {
                 "NO"
             } else {

@@ -50,7 +50,7 @@ fn main() {
         "ZK-GanDef trained {} epochs in {:.1}s ({:.2}s/epoch; discriminator attached: {})",
         report.epoch_losses.len(),
         report.total_seconds(),
-        report.mean_epoch_seconds(),
+        report.mean_epoch_seconds().unwrap_or(f64::NAN),
         report.discriminator.is_some()
     );
 

@@ -4,13 +4,22 @@
 #
 # The run is resumable at two granularities: each harness that completes
 # drops a results/<binary>.done marker and is skipped on the next
-# invocation, and the long-training harnesses (table3, table4,
-# fig5_convergence) additionally checkpoint every training run under
-# results/ckpt-<binary>/ via --resume, so a crash mid-harness resumes at
-# the last finished epoch rather than the last finished harness. Pass
-# --fresh to clear markers and checkpoints and rerun everything. Markers
-# are also invalidated when the flags change (the flag string is stored
-# inside the marker).
+# invocation, and the long-training harnesses (table3, fig5_convergence)
+# additionally checkpoint every training run under results/ckpt-<binary>/
+# via --resume, so a crash mid-harness resumes at the last finished epoch
+# rather than the last finished harness; a resumed run keeps every epoch's
+# loss and seconds. Pass --fresh to clear markers and checkpoints and
+# rerun everything. Markers are also invalidated when the flags change
+# (the flag string is stored inside the marker).
+#
+# table3 trains each grid cell once and writes table3.md and fig4.csv,
+# and from the same runs table4.md/.csv (DeepFool/CW on ZK-GanDef) and
+# fig5_time.md/.csv (training time per epoch).
+#
+# A checkpoint under results/ckpt-* written before run states carried
+# their per-epoch history (GNRS version 1) is refused: that run prints
+# "cannot resume ... unsupported run-state version 1" and restarts from
+# epoch 0. --fresh clears such checkpoints up front.
 #
 # Binaries are built once up front and then invoked directly, so the run is
 # immune to concurrent source edits. A failed harness does not stop the
@@ -27,8 +36,8 @@ if [ "${1:-}" = "--fresh" ]; then
 fi
 flags="$*"
 
-harnesses="table3 table4 fig5_time fig5_convergence gamma_ablation
-           prop1_entropy transfer_attack logit_signature"
+harnesses="table3 fig5_convergence gamma_ablation prop1_entropy
+           transfer_attack logit_signature"
 
 cargo build --release -p gandef-bench || exit 1
 # A deleted or renamed harness fails here, before the first long run.
@@ -50,7 +59,7 @@ for b in $harnesses; do
   # Epoch-level resume for the training-heavy harnesses ($extra stays a
   # plain word-split string: the path contains no spaces).
   case "$b" in
-    table3|table4|fig5_convergence) extra="--resume results/ckpt-$b" ;;
+    table3|fig5_convergence) extra="--resume results/ckpt-$b" ;;
     *) extra="" ;;
   esac
   if "./target/release/$b" "$@" $extra 2>&1 | tee "results/${b}_run.log" \
