@@ -5,7 +5,8 @@
 //! examples" because its training never conditions on a specific
 //! generator (§V-A). MIM post-dates the defenses the paper trains against,
 //! which makes it exactly the kind of "new attack" that adaptivity claim
-//! is about — the `transfer_attack` and extended evaluations use it.
+//! is about — `table3`'s black-box transfer rows (`transfer_attack.csv`)
+//! use it.
 
 use crate::{project, Attack};
 use gandef_nn::{one_hot, Classifier};

@@ -3,27 +3,46 @@
 //! the seven classifiers' test accuracy on original, FGSM, BIM and PGD
 //! examples across the three datasets; ZK-GanDef's accuracy on DeepFool
 //! and CW examples (§V-B "Generalizability"); and the training time per
-//! epoch of ZK-GanDef against the full-knowledge defenses (§V-C).
+//! epoch of ZK-GanDef against the full-knowledge defenses (§V-C). The
+//! SynthDigits Vanilla, CLS and ZK-GanDef cells also feed two extension
+//! artifacts:
+//!
+//! * the §II-A black-box setting, where the adversary has "no access to
+//!   the inner information of the target NN classifier": FGSM/PGD/MIM
+//!   examples crafted on a surrogate Vanilla classifier (the one extra
+//!   training run, at a shifted seed so its weights — but not its task —
+//!   differ) are applied to the Vanilla and ZK-GanDef cells, beside
+//!   white-box references. Transfer should be weaker than white-box, and
+//!   the defense should help in both settings;
+//! * the §III-A hypothesis that "abnormal large values in pre-softmax
+//!   logits are signals of adversarial examples":
+//!   [`zk_gandef::analysis::LogitStats`] on clean, Gaussian-noisy and FGSM
+//!   inputs. CLS should squeeze its logits globally; ZK-GanDef should
+//!   instead keep them *similar* across sources (source-invariance).
 //!
 //! ```text
 //! cargo run --release -p gandef-bench --bin table3 [-- --smoke|--paper-scale ...]
 //! ```
 //!
 //! Prints the per-dataset markdown tables (the paper's Table III layout)
-//! and writes `table3.md`, `fig4.csv` (one row per cell — the series
-//! Figure 4 plots), `table4.md`, `table4.csv`, `fig5_time.md` and
-//! `fig5_time.csv` under the output directory.
+//! and writes eight files under the output directory: `table3.md`,
+//! `fig4.csv` (one row per cell — the series Figure 4 plots), `table4.md`,
+//! `table4.csv`, `fig5_time.md`, `fig5_time.csv`, `transfer_attack.csv`
+//! and `logit_signature.csv`.
 //!
 //! Figure 5's absolute seconds differ from the paper's GTX-1080 numbers;
 //! the claim under test is the *ordering and ratios*: ZK-GanDef ≈
 //! FGSM-Adv ≪ PGD-Adv < PGD-GanDef, and the headline "ZK-GanDef reduces
 //! training time by 92.11% / 51.53% versus PGD-Adv" directionally.
 
+use gandef_attack::{Attack, Fgsm, Mim, Pgd};
 use gandef_bench::{all_defenses, dataset_label, train_defense, HarnessOpts};
-use gandef_data::{Dataset, DatasetKind};
-use gandef_nn::Net;
+use gandef_data::{preprocess, Dataset, DatasetKind};
+use gandef_nn::{accuracy, Classifier, Net};
 use gandef_tensor::rng::Prng;
-use zk_gandef::defense::TrainReport;
+use gandef_tensor::Tensor;
+use zk_gandef::analysis::logit_stats;
+use zk_gandef::defense::{TrainReport, Vanilla};
 use zk_gandef::eval::{
     evaluate, extended_attacks, standard_attacks, AccuracyGrid, TABLE3_EXAMPLES,
 };
@@ -34,6 +53,10 @@ use zk_gandef::TrainConfig;
 /// (§V-C drops CLP/CLS because their accuracy disqualifies them).
 const FIG5_DEFENSES: [&str; 4] = ["ZK-GanDef", "FGSM-Adv", "PGD-Adv", "PGD-GanDef"];
 
+/// The SynthDigits cells the transfer and logit-signature artifacts read,
+/// in Table III's row order.
+const DIGITS_KEPT: [&str; 3] = ["Vanilla", "CLS", "ZK-GanDef"];
+
 fn main() {
     let opts = HarnessOpts::from_args();
     let mut grid = AccuracyGrid::new();
@@ -43,6 +66,8 @@ fn main() {
     let mut table4_csv = String::from("dataset,example,accuracy\n");
     let mut fig5_md = String::from("# Figure 5 (left & middle) — Training Time per Epoch\n");
     let mut fig5_csv = String::from("dataset,defense,seconds_per_epoch\n");
+    let mut transfer_csv = String::new();
+    let mut logit_csv = String::new();
 
     for kind in DatasetKind::ALL {
         let ds = opts.dataset(kind);
@@ -56,6 +81,7 @@ fn main() {
             cfg.epochs
         );
         let mut reports: Vec<TrainReport> = Vec::new();
+        let mut kept: Vec<(&'static str, Net)> = Vec::new();
         for defense in all_defenses() {
             let t0 = std::time::Instant::now();
             let c = opts.attach_resume(
@@ -81,7 +107,18 @@ fn main() {
                 table4_md.push_str(&md);
                 table4_csv.push_str(&csv);
             }
+            if kind == DatasetKind::SynthDigits && DIGITS_KEPT.contains(&defense.name()) {
+                kept.push((defense.name(), net));
+            }
             reports.push(report);
+        }
+        if kind == DatasetKind::SynthDigits {
+            let c = opts.attach_resume(cfg.clone(), "table3-SynthDigits-Vanilla-surrogate");
+            let (surrogate, _) = train_defense(&Vanilla, &ds, &c, opts.seed ^ 0x5A11);
+            let cell = |name| &kept.iter().find(|(n, _)| *n == name).expect("kept cell").1;
+            let (vanilla, zk) = (cell("Vanilla"), cell("ZK-GanDef"));
+            transfer_csv = transfer_rows(&surrogate, vanilla, zk, &ds, &cfg, opts.seed);
+            logit_csv = logit_rows(&kept, &ds, &cfg, opts.seed);
         }
 
         // Left panel: 28×28 (MNIST/Fashion-MNIST share size and classifier,
@@ -113,6 +150,8 @@ fn main() {
     println!("\n{fig5_md}");
     opts.write_artifact("fig5_time.md", &fig5_md);
     opts.write_artifact("fig5_time.csv", &fig5_csv);
+    opts.write_artifact("transfer_attack.csv", &transfer_csv);
+    opts.write_artifact("logit_signature.csv", &logit_csv);
 
     summarize(&grid);
 }
@@ -148,6 +187,84 @@ fn table4_rows(net: &Net, ds: &Dataset, cfg: &TrainConfig, seed: u64) -> (String
         .map(|(example, a)| format!("{label},{example},{a:.4}\n"))
         .collect();
     (md, csv)
+}
+
+/// The §II-A black-box rows: FGSM/PGD/MIM examples generated on
+/// `surrogate` and applied to the `vanilla` and `defended` (ZK-GanDef)
+/// targets, with white-box references on each. Every attack draws from its
+/// own `Prng::new(seed ^ 0x7F)`, for the surrogate, Vanilla and ZK-GanDef
+/// in turn. Returns the CSV, header included.
+fn transfer_rows(
+    surrogate: &Net,
+    vanilla: &Net,
+    defended: &Net,
+    ds: &Dataset,
+    cfg: &TrainConfig,
+    seed: u64,
+) -> String {
+    let b = &cfg.budget;
+    let attacks: Vec<Box<dyn Attack>> = vec![
+        Box::new(Fgsm::new(b.eps)),
+        Box::new(Pgd::new(b.eps, b.pgd_step, b.pgd_iters)),
+        Box::new(Mim::new(b.eps, b.bim_step, b.bim_iters)),
+    ];
+    let eval = |net: &Net, x: &Tensor| accuracy(&net.predict(x), &ds.test_y);
+    let mut csv = String::from(
+        "attack,surrogate_whitebox,vanilla_transfer,zk_gandef_transfer,vanilla_whitebox,zk_gandef_whitebox\n",
+    );
+    // BB: crafted on the surrogate (black-box); WB: on the net itself.
+    println!(
+        "  {:<8} | {:>7} | {:>7} | {:>7} | {:>7} | {:>7}",
+        "transfer", "sur WB", "van BB", "zk BB", "van WB", "zk WB"
+    );
+    for attack in attacks {
+        let mut arng = Prng::new(seed ^ 0x7F);
+        let adv = attack.perturb(surrogate, &ds.test_x, &ds.test_y, &mut arng);
+        let adv_v = attack.perturb(vanilla, &ds.test_x, &ds.test_y, &mut arng);
+        let adv_z = attack.perturb(defended, &ds.test_x, &ds.test_y, &mut arng);
+        let accs = [
+            eval(surrogate, &adv),
+            eval(vanilla, &adv),
+            eval(defended, &adv),
+            eval(vanilla, &adv_v),
+            eval(defended, &adv_z),
+        ];
+        print!("  {:<8}", attack.name());
+        csv.push_str(attack.name());
+        for a in accs {
+            print!(" | {:>6.1}%", a * 100.0);
+            csv.push_str(&format!(",{a:.4}"));
+        }
+        println!();
+        csv.push('\n');
+    }
+    csv
+}
+
+/// The §III-A rows: logit statistics of each kept net on clean, Gaussian
+/// (σ of `cfg`) and FGSM inputs. Each net draws from its own
+/// `Prng::new(seed ^ 0x51)`, for the noise and then FGSM. Returns the CSV,
+/// header included.
+fn logit_rows(nets: &[(&str, Net)], ds: &Dataset, cfg: &TrainConfig, seed: u64) -> String {
+    let mut csv = String::from("defense,input,mean_norm,mean_abs,max_abs,mean_margin\n");
+    println!("  logits    | input  | ‖z‖ mean | |z| mean | |z| max | margin");
+    for (defense, net) in nets {
+        let mut prng = Prng::new(seed ^ 0x51);
+        let noisy = preprocess::gaussian_perturb(&ds.test_x, cfg.sigma, &mut prng);
+        let adv = Fgsm::new(cfg.budget.eps).perturb(net, &ds.test_x, &ds.test_y, &mut prng);
+        for (input, x) in [("clean", &ds.test_x), ("noisy", &noisy), ("fgsm", &adv)] {
+            let s = logit_stats(net, x);
+            println!(
+                "  {defense:<9} | {input:<6} | {:>8.2} | {:>8.2} | {:>7.2} | {:>6.2}",
+                s.mean_norm, s.mean_abs, s.max_abs, s.mean_margin
+            );
+            csv.push_str(&format!(
+                "{defense},{input},{:.4},{:.4},{:.4},{:.4}\n",
+                s.mean_norm, s.mean_abs, s.max_abs, s.mean_margin
+            ));
+        }
+    }
+    csv
 }
 
 /// Prints the ordinal checks the paper's narrative rests on (EXPERIMENTS.md

@@ -1,16 +1,14 @@
 //! Shared harness utilities for the table/figure binaries.
 //!
-//! Most binaries under `src/bin/` each regenerate one artifact of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index):
+//! Four binaries under `src/bin/` regenerate the paper's evaluation (see
+//! DESIGN.md §4 for the experiment index):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
-//! | `table3` | Table III + Figure 4 (accuracy grid), Table IV (DeepFool / CW generalizability) and Figure 5 left & middle (training time/epoch), from one training run per cell |
+//! | `table3` | Table III + Figure 4 (accuracy grid), Table IV (DeepFool / CW generalizability) and Figure 5 left & middle (training time/epoch), from one training run per cell; from its SynthDigits cells, the §II-A black-box transfer setting and the §III-A logit-magnitude hypothesis (extensions) |
 //! | `fig5_convergence` | Figure 5 right (CLS loss traces) |
 //! | `gamma_ablation` | §III-D γ trade-off (extension) |
 //! | `prop1_entropy` | Proposition-1 diagnostics (extension) |
-//! | `transfer_attack` | §II-A black-box transfer setting (extension) |
-//! | `logit_signature` | §III-A logit-magnitude hypothesis (extension) |
 //!
 //! The remaining binaries are tooling rather than paper artifacts:
 //!

@@ -77,9 +77,10 @@ pub fn entropy_diagnostics(
 
 /// Summary statistics of a logit batch — the quantities behind the
 /// CLP/CLS design hypothesis that "abnormal large values in pre-softmax
-/// logits are signals of adversarial examples" (§III-A). The
-/// `logit_signature` bench measures these on clean, noisy and adversarial
-/// inputs for each defense to test that hypothesis directly.
+/// logits are signals of adversarial examples" (§III-A). The `table3`
+/// harness measures these on clean, noisy and adversarial inputs for its
+/// SynthDigits Vanilla, CLS and ZK-GanDef cells (`logit_signature.csv`)
+/// to test that hypothesis directly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LogitStats {
     /// Mean per-row `l2` norm of the logits.

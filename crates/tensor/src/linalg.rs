@@ -1,17 +1,18 @@
 //! Matrix multiplication kernels.
 //!
 //! Everything in this workspace that is compute-bound — dense layers,
-//! im2col convolutions and their backward passes, and every white-box
-//! attack's input-gradient steps — bottoms out in one of the three GEMM
-//! variants below. All three lower onto a single cache-blocked, packed
-//! kernel:
+//! convolutions (an implicit GEMM over gathered patches; im2col survives
+//! only as the test oracle) and their backward passes, and every
+//! white-box attack's input-gradient steps — bottoms out in one of the
+//! three GEMM variants below. All three lower onto a single cache-blocked,
+//! packed kernel:
 //!
 //! * The B operand is packed once per call into contiguous `KC × NR`
 //!   column panels; each worker packs `MC × KC` blocks of A into `MR`-row
 //!   panels as it goes. Transposed variants differ only in the strides the
 //!   packing routines read through, so the inner loops never see a
 //!   transpose.
-//! * An unrolled `MR × NR` (8×8) microkernel accumulates into registers,
+//! * An unrolled `MR × NR` (4×16) microkernel accumulates into registers,
 //!   with edge tiles handled by zero-padding inside the packed panels —
 //!   the hot loop is branch-free (the seed's `if aval == 0.0` skip is
 //!   gone: it poisoned pipelining on dense data and silently miscounted

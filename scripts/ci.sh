@@ -15,10 +15,11 @@
 # output checks must pass (training records finite losses with no run
 # event and clears the accuracy floor; the served model trains cleanly,
 # every request resolves, the server's request count matches, and every
-# reply's argmax matches Sequential::infer), the numerics
-# audit (the f64-accumulation kernel oracle must be byte-identical
-# across thread counts and FMA settings, and the f64 training trajectory
-# must be reproducible), the crash-consistency sweep (a training child is
+# reply's argmax matches Sequential::infer), a smoke run of table3, the
+# grid harness (it must exit 0 and write all eight paper artifacts, each
+# non-empty), the numerics audit (the f64-accumulation kernel oracle
+# must be byte-identical across thread counts and FMA settings, and the
+# f64 training trajectory must be reproducible), the crash-consistency sweep (a training child is
 # killed at every checkpoint-write injection point and the on-disk state
 # must verify as old-or-new, never corrupt, plus a cross-process
 # kill-and-resume run that must be bit-identical to a straight run under
@@ -90,6 +91,25 @@ for workload in train-zk train-pgd; do
 done
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload serve-mixed --seed 1 --seconds 2 --trace 0
+
+echo "==> table3 --smoke (the grid harness writes all eight artifacts)"
+# table3 trains every Table III cell at smoke size and renders Table
+# III/IV, Figure 4, Figure 5 (left & middle), the transfer-attack rows
+# and the logit signatures from them. A harness that panics after
+# training, or stops writing one of its files, fails here.
+if ! GANDEF_THREADS=1 ./target/release/table3 --smoke --out "$out/table3" >"$out/table3.log" 2>&1; then
+    cat "$out/table3.log"
+    echo "FAIL: table3 --smoke exited non-zero"
+    exit 1
+fi
+for f in table3.md fig4.csv table4.md table4.csv fig5_time.md fig5_time.csv \
+    transfer_attack.csv logit_signature.csv; do
+    if [ ! -s "$out/table3/$f" ]; then
+        echo "FAIL: table3 --smoke did not write a non-empty $f"
+        exit 1
+    fi
+done
+echo "table3 --smoke wrote all eight artifacts"
 
 echo "==> numerics audit: f64 oracle invariance"
 # Under GANDEF_ACCUM=f64 the kernel fingerprints must not depend on the
